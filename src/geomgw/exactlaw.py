@@ -13,6 +13,11 @@ probability unless the name says otherwise. The laws implemented:
   * the fat limit with an infinite-degree root (condensation), in two
     independently-derived forms kept separate on purpose.
 
+Each ball law is the plain ball mass times a weight of the ball's bottom
+width k = Z_h alone. Every law has exactly one weight function of
+(p, h, k); its per-tree law adds it to gw_tree_log_prob and its tables
+go through the one tabulator, _tabulate.
+
 For root-degree-truncated balls the laws of the conditioned and skinny
 trees need an infinite series over the unobserved sibling subtrees; it
 is summed with explicit tail certificates and fails loudly (instead of
@@ -49,6 +54,8 @@ from .offspring import (
 from .treekit import OrderedTree, enumerate_trees
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
+MAX_TREES = 5_000_000  # enumeration cap of every tabulated law
+SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +229,27 @@ def conditioned_tree_law(
 # ---------------------------------------------------------------------------
 
 
-def kesten_tree_law(p: OffspringParams, t: OrderedTree, h: int) -> float:
-    """log P(radius-h ball of the size-biased eternal tree equals t).
-
-    The weight against the plain ball law is k c^(k-1) m^-h with k the
-    bottom-row width, c the extinction probability and m the mean of the
-    law conditioned on dying out. Needs eta < 1: without leaves the
+def _log_kesten_weight(p: OffspringParams, h: int, k: int) -> float:
+    """log of the eternal-tree weight k c^(k-1) m^-h at radius h and bottom
+    width k, with c the extinction probability and m the mean of the law
+    conditioned on dying out. Needs eta < 1: without leaves the
     extinction probability vanishes and this limit does not exist.
     """
     if p.eta >= 1.0:
         raise ValidationError("the size-biased eternal tree needs eta < 1")
-    base = gw_tree_log_prob(p, t, h)
-    k = t.z(h)
     if k == 0:
         return LOG_ZERO
     ext = extinction_params(p)
-    out = base + math.log(k) - h * math.log(ext.mean)
-    if k > 1:
-        out += (k - 1) * math.log(ext.extinction_prob)
-    return out
+    return (
+        math.log(k)
+        + (k - 1) * math.log(ext.extinction_prob)
+        - h * math.log(ext.mean)
+    )
+
+
+def kesten_tree_law(p: OffspringParams, t: OrderedTree, h: int) -> float:
+    """log P(radius-h ball of the size-biased eternal tree equals t)."""
+    return gw_tree_log_prob(p, t, h) + _log_kesten_weight(p, h, t.z(h))
 
 
 def _mixing_base(p: OffspringParams, h: int) -> float:
@@ -302,6 +311,17 @@ def poisson_tree_law(
     return gw_tree_log_prob(p, t, h) + log_poisson_weight(p, h, t.z(h), theta)
 
 
+def _log_fat_constant(p: OffspringParams) -> float:
+    """log (1-q)/(eta q), the fat limit's constant factor."""
+    return math.log1p(-p.q) - math.log(p.eta) - math.log(p.q)
+
+
+def _log_condensation_weight(p: OffspringParams, h: int, k: int) -> float:
+    """log of the fat-limit weight (1-q)/(eta q) gamma_h^k at radius h and
+    bottom width k."""
+    return _log_fat_constant(p) + k * iterate(p, h).log_gamma
+
+
 def condensation_tree_law(
     p: OffspringParams, k0: int, t: OrderedTree, h: int
 ) -> float:
@@ -309,8 +329,7 @@ def condensation_tree_law(
 
     The fat tree's root has infinitely many children, so the observable
     is the radius-h ball keeping only the first k0 root subtrees; t must
-    have root degree exactly k0. Weight form: (1-q)/(eta q) gamma_h^k
-    against the plain ball law, k the bottom-row width.
+    have root degree exactly k0.
     """
     if k0 < 1:
         raise ValidationError("the root keeps at least one subtree")
@@ -320,10 +339,7 @@ def condensation_tree_law(
         )
     if h < 1:
         raise ValidationError("radius must be >= 1 for the fat limit")
-    base = gw_tree_log_prob(p, t, h)
-    k = t.z(h)
-    log_c = math.log1p(-p.q) - math.log(p.eta) - math.log(p.q)
-    return log_c + k * iterate(p, h).log_gamma + base
+    return gw_tree_log_prob(p, t, h) + _log_condensation_weight(p, h, t.z(h))
 
 
 def condensation_tree_law_product(
@@ -361,7 +377,6 @@ def _graft_table(
     log_c0: float,
     log_lam_hat: float,
     k_values: list[int],
-    rtol: float,
 ) -> dict[int, float]:
     """Certified evaluation of U_k = sum_i w_i sum_{K >= max(k+1, i)} C(K,i) y^K.
 
@@ -369,7 +384,7 @@ def _graft_table(
     w_i * y^i / (1-y)^(i+1) <= C0 * lam_hat^(i-1) / (i-1)!  so the i-tail
     is bounded by a Poisson tail; the K-tail of each inner series is
     geometric once K is past i / (1-y). The truncation error is pushed
-    below rtol * min_k U_k or a TruncationError is raised.
+    below SERIES_RTOL * min_k U_k or a TruncationError is raised.
     """
     y = math.exp(log_y)
     kmax = max(k_values)
@@ -408,7 +423,7 @@ def _graft_table(
             log_err = log_add(log_err, lw + lt_next - math.log1p(-r))
         floor = float(np.min(log_u))
         if log_err == LOG_ZERO or (
-            floor != LOG_ZERO and log_err <= math.log(rtol) + floor
+            floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
         ):
             return {k: float(v) for k, v in zip(k_values, log_u)}
         i_cut *= 2
@@ -416,14 +431,15 @@ def _graft_table(
             break
     raise TruncationError(
         "sibling series not certified to requested accuracy "
-        f"(rtol={rtol}, i_cut={i_cut})"
+        f"(rtol={SERIES_RTOL}, i_cut={i_cut})"
     )
 
 
 def _sibling_sum_poisson(
-    p: OffspringParams, h: int, theta: float, k_values: list[int], rtol: float
+    p: OffspringParams, h: int, theta: float, k_values: list[int]
 ) -> dict[int, float]:
-    """log T(k) = log sum_{k' >= 1} W(k+k') P(Z_h = k') for the skinny weight."""
+    """log T(k) = log sum_{k' >= 1} W(k+k') P(Z_h = k') for the skinny
+    weight. Needs eta < 1, so the extinction probability c is positive."""
     ext = extinction_params(p)
     c = ext.extinction_prob
     it_h = iterate(p, h)
@@ -435,31 +451,6 @@ def _sibling_sum_poisson(
     )
     lam = theta * _mixing_base(p, h)
     log_head = -h * math.log(ext.mean) - theta * cumulative_immigration(p, h)
-    if c == 0.0:
-        # no extinction: the weight keeps only its top term and the sum
-        # over hidden siblings is a bare Poisson-type series in K
-        out = {}
-        log_lam = math.log(lam) if lam > 0.0 else LOG_ZERO
-        for k in k_values:
-            terms = []
-            kk = k + 1
-            while True:
-                if lam == 0.0 and kk > 1:
-                    break
-                lt = -gammaln(kk) - (kk - k) * log_gh
-                if kk > 1:
-                    lt += (kk - 1) * log_lam
-                terms.append(lt)
-                if kk + 1 > lam and kk > k + 4:
-                    tail = log_poisson_tail(log_lam, kk)
-                    body = log_sum(terms)
-                    if tail <= math.log(rtol) + body:
-                        break
-                if kk - k > 200_000:
-                    raise TruncationError("sibling series (no-extinction) diverged")
-                kk += 1
-            out[k] = log_head + log_a + k * log_gh + log_sum(terms) if terms else LOG_ZERO
-        return out
     log_y = math.log(c) - log_gh
     y = math.exp(log_y)
     log_lam = math.log(lam) if lam > 0.0 else LOG_ZERO
@@ -475,12 +466,12 @@ def _sibling_sum_poisson(
 
     log_c0 = -log_gh - 2.0 * math.log1p(-y)
     log_lam_hat = (log_lam - log_gh - math.log1p(-y)) if lam > 0.0 else LOG_ZERO
-    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values, rtol)
+    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values)
     return {k: log_head + log_a + k * log_gh + u for k, u in table.items()}
 
 
 def _sibling_sum_conditioned(
-    p: OffspringParams, n: int, a: int, h: int, k_values: list[int], rtol: float
+    p: OffspringParams, n: int, a: int, h: int, k_values: list[int]
 ) -> dict[int, float]:
     """log T(k) for the size-conditioning weight W = ratio(n, h, ., a)."""
     it_h = iterate(p, h)
@@ -524,7 +515,7 @@ def _sibling_sum_conditioned(
                 if ratio < 1.0 and terms:
                     body = log_sum(terms)
                     tail = lt + math.log(ratio) - math.log1p(-ratio)
-                    if tail <= math.log(rtol) + body:
+                    if tail <= math.log(SERIES_RTOL) + body:
                         break
                 if kk - k > 200_000:
                     raise TruncationError("sibling series (no-extinction) diverged")
@@ -552,7 +543,7 @@ def _sibling_sum_conditioned(
         )
     else:
         log_lam_hat = LOG_ZERO
-    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values, rtol)
+    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values)
     return {k: log_head + k * log_gh + u for k, u in table.items()}
 
 
@@ -650,7 +641,6 @@ def _skeleton(
     degree_cap: int,
     exact_height: bool,
     root_degree: int | None,
-    max_trees: int,
 ) -> tuple[tuple[str, float, int], ...]:
     """(code, log ball mass, bottom width) for each enumerated ball shape,
     sorted by code. The expensive part of every family build, so cached."""
@@ -658,7 +648,7 @@ def _skeleton(
     rows = []
     for t in enumerate_trees(
         h, degree_cap, exact_height=exact_height, root_degree=root_degree,
-        max_trees=max_trees,
+        max_trees=MAX_TREES,
     ):
         lgw = 0.0
         for d, dep in zip(t.degrees, t.depths):
@@ -669,6 +659,20 @@ def _skeleton(
     return tuple(rows)
 
 
+def _tabulate(rows, weight) -> dict[str, float]:
+    """code -> lgw + weight(k) over skeleton rows (code, lgw, k), evaluating
+    the weight once per width k and leaving out shapes of zero mass."""
+    weights: dict[int, float] = {}
+    entries: dict[str, float] = {}
+    for code, lgw, k in rows:
+        if k not in weights:
+            weights[k] = weight(k)
+        lp = lgw + weights[k]
+        if lp != LOG_ZERO:
+            entries[code] = lp
+    return entries
+
+
 def _finalize(entries: dict[str, float], meta: dict[str, str]) -> TruncatedLaw:
     law = TruncatedLaw(entries=entries, log_residual=LOG_ZERO, meta=meta)
     law_normalize_check(law)
@@ -676,112 +680,81 @@ def _finalize(entries: dict[str, float], meta: dict[str, str]) -> TruncatedLaw:
     return law
 
 
-def _base_meta(p: OffspringParams, kind: str, h: int, degree_cap: int) -> dict[str, str]:
+def _base_meta(
+    p: OffspringParams, kind: str, h: int, degree_cap: int, **extra: str
+) -> dict[str, str]:
     return {
         "eta": repr(p.eta),
         "q": repr(p.q),
         "law": kind,
         "h": str(h),
         "degree_cap": str(degree_cap),
+        **extra,
     }
 
 
-def gw_family(
-    p: OffspringParams, h: int, degree_cap: int, max_trees: int = 5_000_000
-) -> TruncatedLaw:
+def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     """Radius-h ball law of the plain branching tree, tabulated over every
     ball shape with height <= h and degrees <= degree_cap."""
     if h < 0:
         raise ValidationError("radius must be >= 0")
-    entries = {
-        code: lgw
-        for code, lgw, _ in _skeleton(p, h, degree_cap, False, None, max_trees)
-    }
+    entries = _tabulate(_skeleton(p, h, degree_cap, False, None), lambda k: 0.0)
     return _finalize(entries, _base_meta(p, "gw", h, degree_cap))
 
 
 def conditioned_family(
-    p: OffspringParams,
-    n: int,
-    a: int,
-    h: int,
-    degree_cap: int,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, n: int, a: int, h: int, degree_cap: int
 ) -> TruncatedLaw:
     """Radius-h ball law of the tree conditioned on generation-n size a,
     tabulated over every ball shape with degrees <= degree_cap."""
     if not 1 <= h <= n:
         raise ValidationError("need 1 <= h <= n")
-    weights: dict[int, float] = {}
-    entries: dict[str, float] = {}
-    for code, lgw, k in _skeleton(p, h, degree_cap, True, None, max_trees):
-        if k not in weights:
-            weights[k] = size_conditioning_ratio(p, n, h, k, a).log_value
-        lp = lgw + weights[k]
-        if lp != LOG_ZERO:
-            entries[code] = lp
-    meta = _base_meta(p, "conditioned", h, degree_cap)
-    meta.update(n=str(n), a=str(a))
+    entries = _tabulate(
+        _skeleton(p, h, degree_cap, True, None),
+        lambda k: size_conditioning_ratio(p, n, h, k, a).log_value,
+    )
+    meta = _base_meta(p, "conditioned", h, degree_cap, n=str(n), a=str(a))
     return _finalize(entries, meta)
 
 
-def kesten_family(
-    p: OffspringParams, h: int, degree_cap: int, max_trees: int = 5_000_000
-) -> TruncatedLaw:
+def kesten_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     """Radius-h ball law of the size-biased eternal tree, tabulated."""
-    if p.eta >= 1.0:
-        raise ValidationError("the size-biased eternal tree needs eta < 1")
     if h < 1:
         raise ValidationError("radius must be >= 1")
-    ext = extinction_params(p)
-    log_c = math.log(ext.extinction_prob)
-    log_m = math.log(ext.mean)
-    entries = {}
-    for code, lgw, k in _skeleton(p, h, degree_cap, True, None, max_trees):
-        entries[code] = lgw + math.log(k) + (k - 1) * log_c - h * log_m
+    entries = _tabulate(
+        _skeleton(p, h, degree_cap, True, None),
+        lambda k: _log_kesten_weight(p, h, k),
+    )
     return _finalize(entries, _base_meta(p, "kesten", h, degree_cap))
 
 
 def poisson_family(
-    p: OffspringParams,
-    h: int,
-    theta: float,
-    degree_cap: int,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, h: int, theta: float, degree_cap: int
 ) -> TruncatedLaw:
     """Radius-h ball law of the theta-member of the skinny limit family."""
     if h < 1:
         raise ValidationError("radius must be >= 1")
-    weights: dict[int, float] = {}
-    entries = {}
-    for code, lgw, k in _skeleton(p, h, degree_cap, True, None, max_trees):
-        if k not in weights:
-            weights[k] = log_poisson_weight(p, h, k, theta)
-        entries[code] = lgw + weights[k]
-    meta = _base_meta(p, "poisson", h, degree_cap)
-    meta.update(theta=repr(float(theta)))
+    entries = _tabulate(
+        _skeleton(p, h, degree_cap, True, None),
+        lambda k: log_poisson_weight(p, h, k, theta),
+    )
+    meta = _base_meta(p, "poisson", h, degree_cap, theta=repr(float(theta)))
     return _finalize(entries, meta)
 
 
 def condensation_family(
-    p: OffspringParams,
-    h: int,
-    k0: int,
-    degree_cap: int,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, h: int, k0: int, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the fat limit tree, tabulated. The support is
     every ball with root degree exactly k0 and height <= h, dying
     truncations included."""
     if h < 1 or k0 < 1:
         raise ValidationError("need h >= 1 and k0 >= 1")
-    log_c = math.log1p(-p.q) - math.log(p.eta) - math.log(p.q)
-    log_gh = iterate(p, h).log_gamma
-    entries = {}
-    for code, lgw, k in _skeleton(p, h, degree_cap, False, k0, max_trees):
-        entries[code] = log_c + k * log_gh + lgw
-    meta = _base_meta(p, "condensation", h, degree_cap)
-    meta.update(k0=str(k0))
+    entries = _tabulate(
+        _skeleton(p, h, degree_cap, False, k0),
+        lambda k: _log_condensation_weight(p, h, k),
+    )
+    meta = _base_meta(p, "condensation", h, degree_cap, k0=str(k0))
     return _finalize(entries, meta)
 
 
@@ -790,11 +763,9 @@ def _restricted_family(
     h: int,
     k0: int,
     degree_cap: int,
-    weight_of,
+    weight,
     sibling_sum,
-    kind: str,
-    extra_meta: dict[str, str],
-    max_trees: int,
+    meta: dict[str, str],
 ) -> TruncatedLaw:
     """Shared scaffolding for (h, k0)-ball laws of the weighted trees.
 
@@ -811,94 +782,61 @@ def _restricted_family(
     if h < 1 or k0 < 1:
         raise ValidationError("need h >= 1 and k0 >= 1")
     entries: dict[str, float] = {}
-    wcache: dict[int, float] = {}
-
-    def w(k: int) -> float:
-        if k not in wcache:
-            wcache[k] = weight_of(k)
-        return wcache[k]
-
     for j in range(1, k0):
-        for code, lgw, k in _skeleton(p, h, degree_cap, True, j, max_trees):
-            lp = lgw + w(k)
-            if lp != LOG_ZERO:
-                entries[code] = lp
-    skel = _skeleton(p, h, degree_cap, False, k0, max_trees)
-    k_values = sorted({k for _, _, k in skel})
-    t_table = sibling_sum(k_values)
-    log_cq = math.log1p(-p.q) - math.log(p.eta) - math.log(p.q)
+        entries.update(_tabulate(_skeleton(p, h, degree_cap, True, j), weight))
+    skel = _skeleton(p, h, degree_cap, False, k0)
+    # weights before the series, so a weight's own check (Kesten: eta < 1)
+    # is the error a caller sees
+    own = {k: weight(k) for k in sorted({k for _, _, k in skel})}
+    t_table = sibling_sum(list(own))
+    log_cq = _log_fat_constant(p)
     if h > 1 and p.kappa > 0.0:
         gap = p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
     else:
         gap = 0.0
     log_own = math.log1p(math.exp(log_cq) * gap)
-    for code, lgw, k in skel:
-        own = w(k)
-        graft = log_cq + t_table[k]
-        lp = lgw + log_add(own + log_own, graft)
-        if lp != LOG_ZERO:
-            entries[code] = lp
-    meta = _base_meta(p, kind, h, degree_cap)
-    meta.update(k0=str(k0))
-    meta.update(extra_meta)
+    entries.update(_tabulate(
+        skel, lambda k: log_add(own[k] + log_own, log_cq + t_table[k])
+    ))
     return _finalize(entries, meta)
 
 
 def kesten_restricted_family(
-    p: OffspringParams,
-    h: int,
-    k0: int,
-    degree_cap: int,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, h: int, k0: int, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the size-biased eternal tree."""
-    if p.eta >= 1.0:
-        raise ValidationError("the size-biased eternal tree needs eta < 1")
-    ext = extinction_params(p)
-    log_c = math.log(ext.extinction_prob)
-    log_m = math.log(ext.mean)
-
-    def weight_of(k: int) -> float:
-        if k == 0:
-            return LOG_ZERO
-        return math.log(k) + (k - 1) * log_c - h * log_m
-
     return _restricted_family(
-        p, h, k0, degree_cap, weight_of,
+        p, h, k0, degree_cap,
+        lambda k: _log_kesten_weight(p, h, k),
         lambda ks: _sibling_sum_kesten(p, h, ks),
-        "kesten-restricted", {}, max_trees,
+        _base_meta(p, "kesten-restricted", h, degree_cap, k0=str(k0)),
     )
 
 
 def poisson_restricted_family(
-    p: OffspringParams,
-    h: int,
-    k0: int,
-    theta: float,
-    degree_cap: int,
-    series_rtol: float = 1e-9,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, h: int, k0: int, theta: float, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the theta-member of the skinny limit family."""
     if theta < 0.0:
         raise ValidationError(f"theta must be >= 0, got {theta}")
+    if p.eta >= 1.0:
+        raise ValidationError(
+            "the restricted view of the skinny family needs eta < 1 "
+            f"(hidden root subtrees must be able to die out), got eta={p.eta!r}"
+        )
     return _restricted_family(
         p, h, k0, degree_cap,
         lambda k: log_poisson_weight(p, h, k, theta),
-        lambda ks: _sibling_sum_poisson(p, h, theta, ks, series_rtol),
-        "poisson-restricted", {"theta": repr(float(theta))}, max_trees,
+        lambda ks: _sibling_sum_poisson(p, h, theta, ks),
+        _base_meta(
+            p, "poisson-restricted", h, degree_cap,
+            k0=str(k0), theta=repr(float(theta)),
+        ),
     )
 
 
 def conditioned_restricted_family(
-    p: OffspringParams,
-    n: int,
-    a: int,
-    h: int,
-    k0: int,
-    degree_cap: int,
-    series_rtol: float = 1e-9,
-    max_trees: int = 5_000_000,
+    p: OffspringParams, n: int, a: int, h: int, k0: int, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the tree conditioned on generation-n size a."""
     if not 1 <= h <= n:
@@ -906,6 +844,9 @@ def conditioned_restricted_family(
     return _restricted_family(
         p, h, k0, degree_cap,
         lambda k: size_conditioning_ratio(p, n, h, k, a).log_value,
-        lambda ks: _sibling_sum_conditioned(p, n, a, h, ks, series_rtol),
-        "conditioned-restricted", {"n": str(n), "a": str(a)}, max_trees,
+        lambda ks: _sibling_sum_conditioned(p, n, a, h, ks),
+        _base_meta(
+            p, "conditioned-restricted", h, degree_cap,
+            k0=str(k0), n=str(n), a=str(a),
+        ),
     )

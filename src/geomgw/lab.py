@@ -66,7 +66,6 @@ class ExperimentConfig:
     k0: int = 1
     a_rule: str = "default"  # "default" regime rule, or "const" for a_const
     a_const: int = 1
-    samples: int = 100_000
     seed: int = 20260817
     certify_tolerance: float = 0.01
     theta_grid: tuple[float, ...] = ()

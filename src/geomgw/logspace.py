@@ -37,25 +37,16 @@ def log_sub(x: float, y: float) -> float:
         if y - x < 1e-9:
             return LOG_ZERO
         raise ValueError(f"log_sub would go negative: x={x!r} y={y!r}")
-    d = y - x
-    if d == 0.0:
+    # exp(y - x) rounds to 1 already half an ulp below x
+    e = math.exp(y - x)
+    if e == 1.0:
         return LOG_ZERO
-    return x + math.log1p(-math.exp(d))
+    return x + math.log1p(-e)
 
 
 def log_sum(values: Iterable[float]) -> float:
     """log(sum(e^v)) over an iterable, empty sum -> -inf."""
     arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return LOG_ZERO
-    m = float(arr.max())
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    return m + math.log(float(np.exp(arr - m).sum()))
-
-
-def log_sum_arr(arr: np.ndarray) -> float:
-    """log-sum-exp of a numpy array (already float)."""
     if arr.size == 0:
         return LOG_ZERO
     m = float(arr.max())
@@ -75,16 +66,6 @@ def log_binomial(n: float, k: float) -> float:
     if k == 0 or k == n:
         return 0.0
     return float(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
-
-
-def log_binomial_arr(n: float, k: np.ndarray) -> np.ndarray:
-    """Vectorized log C(n, k) over an array of k, -inf outside [0, n]."""
-    k = np.asarray(k, dtype=float)
-    out = np.full(k.shape, LOG_ZERO)
-    ok = (k >= 0) & (k <= n)
-    kk = k[ok]
-    out[ok] = gammaln(n + 1.0) - gammaln(kk + 1.0) - gammaln(n - kk + 1.0)
-    return out
 
 
 def log_poisson_tail(log_lam: float, i: int) -> float:

@@ -91,6 +91,26 @@ def test_law_restricted_view(capsys):
     assert law.meta["k0"] == "2"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--regime", "kesten", "--eta", "0.55", "--q", "0.45", "--k0", "2"),
+        ("--regime", "conditioned", "--eta", "1", "--q", "0.5",
+         "--n", "5", "--a", "3"),
+    ],
+    ids=["kesten-restricted", "conditioned-eta-one"],
+)
+def test_law_whose_mass_rounds_to_one(capsys, extra):
+    # the tabulated mass sits half an ulp below 1: the residual is zero
+    code, out, err = run(
+        capsys, "law", "--height", "1", "--degree-cap", "6", *extra
+    )
+    assert code == 0, err
+    law = TruncatedLaw.read_csv(io.StringIO(out))
+    assert law.log_residual == -math.inf
+    assert law.entries
+
+
 def law_args_for(regime, *extra):
     argv = list(KESTEN_LAW_ARGS)
     argv[argv.index("--regime") + 1] = regime

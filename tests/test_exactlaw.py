@@ -24,6 +24,7 @@ from geomgw import (
     gw_tree_log_prob,
     iterate,
     kesten_family,
+    kesten_restricted_family,
     kesten_tree_law,
     log_forest_pmf,
     log_generation_pmf,
@@ -312,6 +313,8 @@ def test_kesten_rejects_eta_one():
         kesten_family(PURE, 1, 5)
     with pytest.raises(ValidationError):
         kesten_tree_law(PURE, LEAF, 1)
+    with pytest.raises(ValidationError, match="eta < 1"):
+        kesten_restricted_family(PURE, 2, 1, 3)
 
 
 # -- skinny-limit weight ----------------------------------------------------
@@ -454,6 +457,68 @@ def test_restricted_family_validation():
         conditioned_restricted_family(CRIT, 2, 1, 3, 1, 4)  # h > n
     with pytest.raises(ValidationError):
         poisson_restricted_family(CRIT, 2, 2, -1.0, 4)
+
+
+def test_poisson_restricted_family_names_eta_when_it_is_one():
+    # hidden root subtrees of the restricted view need a positive
+    # extinction probability; the message must name the argument at fault
+    with pytest.raises(ValidationError, match=r"eta < 1.*eta=1\.0") as err:
+        poisson_restricted_family(PURE, 2, 2, 0.7, 4)
+    assert "q must be" not in str(err.value)
+
+
+# -- one code path per law --------------------------------------------------
+
+
+def _family_and_tree_law(p, law_name, h, cap):
+    """The tabulated family and the per-tree law of one law, plus the
+    enumeration whose shapes of positive mass the family must list."""
+    if law_name == "gw":
+        return gw_family(p, h, cap), lambda t: gw_tree_log_prob(p, t, h), {}
+    if law_name == "conditioned":
+        law = conditioned_family(p, 5, 3, h, cap)
+        return law, lambda t: conditioned_tree_law(p, 5, 3, t, h), {}
+    if law_name == "kesten":
+        return kesten_family(p, h, cap), lambda t: kesten_tree_law(p, t, h), {}
+    if law_name == "poisson":
+        law = poisson_family(p, h, 0.7, cap)
+        return law, lambda t: poisson_tree_law(p, 0.7, t, h), {}
+    law = condensation_family(p, h, 2, cap)
+    return law, lambda t: condensation_tree_law(p, 2, t, h), {"root_degree": 2}
+
+
+_LAW_NAMES = ("gw", "conditioned", "kesten", "poisson", "condensation")
+_SAME_PATH_CASES = [
+    (name, p, h, 4) for name in _LAW_NAMES for p in (SUB, CRIT, SUP) for h in (1, 2)
+] + [("kesten", SUP, 1, 40)]
+
+
+@pytest.mark.parametrize(
+    "law_name,p,h,cap",
+    _SAME_PATH_CASES,
+    ids=[f"{n}-{p.eta}-{p.q}-h{h}-cap{c}" for n, p, h, c in _SAME_PATH_CASES],
+)
+def test_family_entries_are_the_tree_law_bit_for_bit(law_name, p, h, cap):
+    law, tree_law, shape = _family_and_tree_law(p, law_name, h, cap)
+    for code, lp in law.entries.items():
+        assert lp == tree_law(OrderedTree.decode(code)), code
+    listed = {
+        t.encode()
+        for t in enumerate_trees(h, cap, **shape)
+        if tree_law(t) != -math.inf
+    }
+    assert listed == set(law.entries)
+
+
+def test_eta_one_tables_list_no_zero_mass_rows():
+    for law in (
+        gw_family(PURE, 2, 4),
+        poisson_family(PURE, 2, 0.0, 4),
+        poisson_family(PURE, 2, 0.5, 4),
+        condensation_family(PURE, 2, 2, 4),
+    ):
+        assert law.entries
+        assert -math.inf not in law.entries.values()
 
 
 # -- the tabulated-law container --------------------------------------------

@@ -1,0 +1,33 @@
+"""Log-domain arithmetic at the edges of double precision."""
+
+import math
+
+import pytest
+
+from geomgw.logspace import LOG_ZERO, log_sub
+
+
+def test_log_sub_half_an_ulp_below_is_zero():
+    # exp(-2**-54) rounds to 1.0: the difference vanishes within one ulp
+    assert log_sub(0.0, -(2.0**-54)) == LOG_ZERO
+    assert log_sub(0.0, 0.0) == LOG_ZERO
+    assert log_sub(-3.5, -3.5) == LOG_ZERO
+
+
+def test_log_sub_one_ulp_below_stays_finite():
+    got = log_sub(0.0, -(2.0**-53))
+    assert got == math.log1p(-math.exp(-(2.0**-53)))
+    assert got == pytest.approx(-53.0 * math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("x,y", [(0.0, -1.0), (-2.0, -2.5), (10.0, -30.0)])
+def test_log_sub_keeps_its_formula_bits(x, y):
+    assert log_sub(x, y) == x + math.log1p(-math.exp(y - x))
+
+
+def test_log_sub_corners():
+    assert log_sub(-1.25, LOG_ZERO) == -1.25
+    # roundoff above x reads as zero, anything more is a bug upstream
+    assert log_sub(0.0, 1e-12) == LOG_ZERO
+    with pytest.raises(ValueError):
+        log_sub(0.0, 1e-3)
