@@ -54,7 +54,6 @@ from .offspring import (
 from .treekit import OrderedTree, enumerate_trees
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
-MAX_TREES = 5_000_000  # enumeration cap of every tabulated law
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
 
 
@@ -79,11 +78,7 @@ def log_generation_pmf(p: OffspringParams, n: int, a: int) -> float:
         if p.kappa == 0.0:
             return LOG_ZERO
         return math.log(p.kappa) - it.log_gamma
-    return (
-        math.log(it.gamma_minus_kappa)
-        + math.log(it.gamma_minus_one)
-        - (a + 1) * it.log_gamma
-    )
+    return it.log_gap_product - (a + 1) * it.log_gamma
 
 
 def log_forest_pmf(p: OffspringParams, k: int, n: int, a: int) -> float:
@@ -105,21 +100,28 @@ def log_forest_pmf(p: OffspringParams, k: int, n: int, a: int) -> float:
     if n == 0:
         return 0.0 if a == k else LOG_ZERO
     it = iterate(p, n)
-    kappa = p.kappa
     if a == 0:
-        if kappa == 0.0:
+        if p.kappa == 0.0:
             return LOG_ZERO
-        return k * (math.log(kappa) - it.log_gamma)
-    log_bi = math.log(it.gamma_minus_kappa) + math.log(it.gamma_minus_one)
+        return k * (math.log(p.kappa) - it.log_gamma)
+    return _log_alive_sum(p, k, a, it.log_gap_product, 0.0) - (a + k) * it.log_gamma
+
+
+def _log_alive_sum(
+    p: OffspringParams, k: int, a: int, log_gaps: float, base: float
+) -> float:
+    """log of sum_i C(k,i) C(a-1,i-1) kappa^(k-i) exp(i log_gaps + base)
+    over the number i of the k root trees still alive, 1 <= i <= min(k, a)."""
+    kappa = p.kappa
     terms = []
     for i in range(1, min(k, a) + 1):
         if kappa == 0.0 and i < k:
             continue
-        t = log_binomial(k, i) + log_binomial(a - 1, i - 1) + i * log_bi
+        t = log_binomial(k, i) + log_binomial(a - 1, i - 1) + i * log_gaps + base
         if i < k:
             t += (k - i) * math.log(kappa)
         terms.append(t)
-    return log_sum(terms) - (a + k) * it.log_gamma
+    return log_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +152,10 @@ def gw_tree_log_prob(p: OffspringParams, t: OrderedTree, h: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioTerms:
-    """Log-space pieces of the size-conditioning ratio.
-
-    log_scale carries the lone factor raised to the conditioned size a
-    (kept separate because it is the only piece whose accuracy is
-    amplified by a); log_terms are the summands over surviving stubs.
-    """
-
-    log_scale: float
-    log_terms: tuple[float, ...]
-
-    @property
-    def log_value(self) -> float:
-        if self.log_scale == LOG_ZERO or not self.log_terms:
-            return LOG_ZERO
-        return self.log_scale + log_sum(self.log_terms)
-
-
 def size_conditioning_ratio(
     p: OffspringParams, n: int, h: int, k: int, a: int
-) -> RatioTerms:
-    """P(forest of k reaches total a in n-h steps) / P(one tree reaches a in n).
+) -> float:
+    """log P(forest of k reaches total a in n-h steps) / P(one tree reaches a in n).
 
     This is the factor that converts the plain radius-h ball law into the
     law of the ball of the tree conditioned on generation n having size a,
@@ -187,28 +170,19 @@ def size_conditioning_ratio(
     if k < 0:
         raise ValidationError("ball width must be >= 0")
     if k == 0:
-        return RatioTerms(LOG_ZERO, ())
+        return LOG_ZERO
     m = n - h
     if m == 0:
         if k != a:
-            return RatioTerms(LOG_ZERO, ())
-        return RatioTerms(-log_generation_pmf(p, n, a), (0.0,))
+            return LOG_ZERO
+        # 0.0 - x, not -x: a mass that rounds to 1 gives +0.0
+        return 0.0 - log_generation_pmf(p, n, a)
     it_n = iterate(p, n)
     it_m = iterate(p, m)
-    kappa = p.kappa
+    # a * log(gamma_n / gamma_m) is the only piece whose error a amplifies
     log_scale = a * log_gamma_ratio(p, n, m)
-    log_beta = math.log(it_m.gamma_minus_kappa) + math.log(it_m.gamma_minus_one)
-    log_delta = math.log(it_n.gamma_minus_kappa) + math.log(it_n.gamma_minus_one)
-    base = it_n.log_gamma - k * it_m.log_gamma - log_delta
-    terms = []
-    for i in range(1, min(k, a) + 1):
-        if kappa == 0.0 and i < k:
-            continue
-        t = log_binomial(k, i) + log_binomial(a - 1, i - 1) + i * log_beta + base
-        if i < k:
-            t += (k - i) * math.log(kappa)
-        terms.append(t)
-    return RatioTerms(log_scale, tuple(terms))
+    base = it_n.log_gamma - k * it_m.log_gamma - it_n.log_gap_product
+    return log_scale + _log_alive_sum(p, k, a, it_m.log_gap_product, base)
 
 
 def conditioned_tree_law(
@@ -216,12 +190,12 @@ def conditioned_tree_law(
 ) -> float:
     """log P(radius-h ball = t | generation n has size a)."""
     ratio = size_conditioning_ratio(p, n, h, t.z(h), a)
-    if ratio.log_value == LOG_ZERO:
+    if ratio == LOG_ZERO:
         # avoid the ball-shape walk when the width already kills the mass
         if not t.is_ball(h):
             raise ValidationError("tree is not its own radius-h ball")
         return LOG_ZERO
-    return gw_tree_log_prob(p, t, h) + ratio.log_value
+    return gw_tree_log_prob(p, t, h) + ratio
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +418,7 @@ def _sibling_sum_poisson(
     c = ext.extinction_prob
     it_h = iterate(p, h)
     log_gh = it_h.log_gamma
-    log_a = (
-        math.log(it_h.gamma_minus_kappa)
-        + math.log(it_h.gamma_minus_one)
-        - log_gh
-    )
+    log_a = it_h.log_gap_product - log_gh
     lam = theta * _mixing_base(p, h)
     log_head = -h * math.log(ext.mean) - theta * cumulative_immigration(p, h)
     log_y = math.log(c) - log_gh
@@ -476,11 +446,7 @@ def _sibling_sum_conditioned(
     """log T(k) for the size-conditioning weight W = ratio(n, h, ., a)."""
     it_h = iterate(p, h)
     log_gh = it_h.log_gamma
-    log_a_factor = (
-        math.log(it_h.gamma_minus_kappa)
-        + math.log(it_h.gamma_minus_one)
-        - log_gh
-    )
+    log_a_factor = it_h.log_gap_product - log_gh
     m = n - h
     if m == 0:
         # ratio degenerates to a point: T(k) = P(Z_h = a-k) / P(Z_n = a)
@@ -495,10 +461,9 @@ def _sibling_sum_conditioned(
     it_n = iterate(p, n)
     it_m = iterate(p, m)
     kappa = p.kappa
-    log_beta = math.log(it_m.gamma_minus_kappa) + math.log(it_m.gamma_minus_one)
-    log_delta = math.log(it_n.gamma_minus_kappa) + math.log(it_n.gamma_minus_one)
+    log_beta = it_m.log_gap_product
     log_b = a * log_gamma_ratio(p, n, m)
-    log_head = log_b + it_n.log_gamma - log_delta + log_a_factor
+    log_head = log_b + it_n.log_gamma - it_n.log_gap_product + log_a_factor
     if kappa == 0.0:
         # only the all-alive term of the weight survives; the hidden-sibling
         # sum is finite (binomial cut at a) with a decreasing term ratio
@@ -512,6 +477,8 @@ def _sibling_sum_conditioned(
                 lt = log_binomial(a - 1, kk - 1) + kk * log_x
                 terms.append(lt)
                 ratio = x * (a - kk) / kk
+                if ratio == 0.0:
+                    break  # every later term vanishes (kk = a)
                 if ratio < 1.0 and terms:
                     body = log_sum(terms)
                     tail = lt + math.log(ratio) - math.log1p(-ratio)
@@ -555,11 +522,7 @@ def _sibling_sum_kesten(
     c = ext.extinction_prob
     it_h = iterate(p, h)
     log_gh = it_h.log_gamma
-    log_a = (
-        math.log(it_h.gamma_minus_kappa)
-        + math.log(it_h.gamma_minus_one)
-        - log_gh
-    )
+    log_a = it_h.log_gap_product - log_gh
     log_c = math.log(c)
     log_x = log_c - log_gh
     x = math.exp(log_x)
@@ -647,8 +610,7 @@ def _skeleton(
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
     rows = []
     for t in enumerate_trees(
-        h, degree_cap, exact_height=exact_height, root_degree=root_degree,
-        max_trees=MAX_TREES,
+        h, degree_cap, exact_height=exact_height, root_degree=root_degree
     ):
         lgw = 0.0
         for d, dep in zip(t.degrees, t.depths):
@@ -711,7 +673,7 @@ def conditioned_family(
         raise ValidationError("need 1 <= h <= n")
     entries = _tabulate(
         _skeleton(p, h, degree_cap, True, None),
-        lambda k: size_conditioning_ratio(p, n, h, k, a).log_value,
+        lambda k: size_conditioning_ratio(p, n, h, k, a),
     )
     meta = _base_meta(p, "conditioned", h, degree_cap, n=str(n), a=str(a))
     return _finalize(entries, meta)
@@ -843,7 +805,7 @@ def conditioned_restricted_family(
         raise ValidationError("need 1 <= h <= n")
     return _restricted_family(
         p, h, k0, degree_cap,
-        lambda k: size_conditioning_ratio(p, n, h, k, a).log_value,
+        lambda k: size_conditioning_ratio(p, n, h, k, a),
         lambda ks: _sibling_sum_conditioned(p, n, a, h, ks),
         _base_meta(
             p, "conditioned-restricted", h, degree_cap,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import ValidationError
 from .exactlaw import TruncatedLaw
@@ -32,7 +32,10 @@ class GTestResult:
 def _finish(statistic: float, df: int, classes: int, pooled: int) -> GTestResult:
     if df < 1:
         return GTestResult(statistic, df, 1.0, classes, pooled)
-    return GTestResult(statistic, df, float(chi2.sf(statistic, df)), classes, pooled)
+    # chi-square survival function; a statistic that rounds below 0 lies
+    # at the bottom of the support, where the p-value is 1
+    p_value = float(chdtrc(df, max(statistic, 0.0)))
+    return GTestResult(statistic, df, p_value, classes, pooled)
 
 
 def g_test_against_law(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ValidationError
 from .logspace import LOG_ZERO, log_binomial
@@ -144,6 +144,12 @@ class IteratedLaw:
     gamma_minus_kappa: float
     log_gamma: float
     mean: float
+
+    @cached_property
+    def log_gap_product(self) -> float:
+        """log(gamma_n - kappa) + log(gamma_n - 1), the log of the pole
+        differences' product that every generation-size mass carries."""
+        return math.log(self.gamma_minus_kappa) + math.log(self.gamma_minus_one)
 
     @property
     def eta_n(self) -> float:

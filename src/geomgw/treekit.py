@@ -15,6 +15,7 @@ the first of which has one child.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceError, ValidationError
@@ -226,33 +227,40 @@ def local_distance(t: OrderedTree, s: OrderedTree) -> float:
 
 # -- enumeration ---------------------------------------------------------
 
-_MEMO: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int], ...]] = {}
+MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 
 
+def _rooted(
+    height: int, degree_cap: int, d: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Degree tuples of height <= `height` with degrees <= degree_cap whose
+    root has degree d, paired with their exact heights: the root followed
+    by each product of d subtrees from the height-1 pool."""
+    if d == 0:
+        yield (0,), 0
+        return
+    if height == 0:
+        return
+    below = _pool(height - 1, degree_cap)
+    for combo in itertools.product(below, repeat=d):
+        degs: tuple[int, ...] = (d,)
+        hmax = 0
+        for sub, sh in combo:
+            degs = degs + sub
+            if sh > hmax:
+                hmax = sh
+        yield degs, hmax + 1
+
+
+# Only the pools below an enumeration's height are ever asked for, and they
+# are small next to the top level, which enumerate_trees streams instead.
+@lru_cache(maxsize=32)
 def _pool(height: int, degree_cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All degree tuples of height <= `height` with degrees <= degree_cap,
-    paired with their exact heights. Memoized."""
-    key = (height, degree_cap)
-    got = _MEMO.get(key)
-    if got is not None:
-        return got
-    if height == 0:
-        out: tuple[tuple[tuple[int, ...], int], ...] = (((0,), 0),)
-    else:
-        below = _pool(height - 1, degree_cap)
-        acc: list[tuple[tuple[int, ...], int]] = [((0,), 0)]
-        for d in range(1, degree_cap + 1):
-            for combo in itertools.product(below, repeat=d):
-                degs: tuple[int, ...] = (d,)
-                hmax = 0
-                for sub, sh in combo:
-                    degs = degs + sub
-                    if sh > hmax:
-                        hmax = sh
-                acc.append((degs, hmax + 1))
-        out = tuple(acc)
-    _MEMO[key] = out
-    return out
+    paired with their exact heights, in root-degree order."""
+    return tuple(itertools.chain.from_iterable(
+        _rooted(height, degree_cap, d) for d in range(degree_cap + 1)
+    ))
 
 
 def count_trees(
@@ -301,7 +309,7 @@ def enumerate_trees(
     degree_cap: int,
     exact_height: bool = False,
     root_degree: int | None = None,
-    max_trees: int = 5_000_000,
+    max_trees: int = MAX_TREES,
 ) -> Iterator[OrderedTree]:
     """Yield every tree of height <= `height` (or exactly, with the flag)
     whose out-degrees are all <= degree_cap, optionally with the root
@@ -321,28 +329,9 @@ def enumerate_trees(
         )
     if root_degree is not None and root_degree > degree_cap:
         return
-    if root_degree is None:
-        for degs, h in _pool(height, degree_cap):
+    roots = range(degree_cap + 1) if root_degree is None else (root_degree,)
+    for d in roots:
+        for degs, h in _rooted(height, degree_cap, d):
             if exact_height and h != height:
                 continue
             yield OrderedTree(degs)
-        return
-    if root_degree == 0:
-        if not exact_height or height == 0:
-            yield OrderedTree((0,))
-        return
-    if height == 0:
-        return
-    # Pinned positive root degree: take products over the height-1 pool
-    # instead of filtering the (possibly astronomically larger) full pool.
-    below = _pool(height - 1, degree_cap)
-    for combo in itertools.product(below, repeat=root_degree):
-        degs: tuple[int, ...] = (root_degree,)
-        hmax = 0
-        for sub, sh in combo:
-            degs = degs + sub
-            if sh > hmax:
-                hmax = sh
-        if exact_height and hmax + 1 != height:
-            continue
-        yield OrderedTree(degs)

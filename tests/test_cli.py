@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import geomgw
 from geomgw import TruncatedLaw
 from geomgw.cli import _resolve_config, main
 
@@ -108,6 +112,17 @@ def test_law_whose_mass_rounds_to_one(capsys, extra):
     assert code == 0, err
     law = TruncatedLaw.read_csv(io.StringIO(out))
     assert law.log_residual == -math.inf
+    assert law.entries
+
+
+def test_law_conditioned_restricted_without_extinction(capsys):
+    code, out, err = run(
+        capsys, "law", "--regime", "conditioned", "--eta", "1", "--q", "0.5",
+        "--n", "5", "--a", "3", "--height", "2", "--degree-cap", "3", "--k0", "2",
+    )
+    assert code == 0, err
+    law = TruncatedLaw.read_csv(io.StringIO(out))
+    assert law.meta["law"] == "conditioned-restricted"
     assert law.entries
 
 
@@ -319,3 +334,15 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every CLI call pays the package import; scipy.stats alone took most of it
+    src = os.path.dirname(os.path.dirname(geomgw.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, geomgw; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"

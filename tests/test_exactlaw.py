@@ -164,7 +164,7 @@ def test_forest_normalizes_in_a():
 
 def test_ratio_frozen_rational():
     got = size_conditioning_ratio(CRIT, 40, 1, 2, 1)
-    assert math.exp(got.log_value) == pytest.approx(
+    assert math.exp(got) == pytest.approx(
         131118.0 / 64000.0, rel=1e-12
     )
 
@@ -174,16 +174,16 @@ def test_ratio_at_h_equals_n_is_a_kronecker():
         for a in (1, 3):
             hit = size_conditioning_ratio(p, 4, 4, a, a)
             want = -log_generation_pmf(p, 4, a)
-            assert hit.log_value == pytest.approx(want, rel=1e-12)
+            assert hit == pytest.approx(want, rel=1e-12)
             miss = size_conditioning_ratio(p, 4, 4, a + 1, a)
-            assert miss.log_value == -math.inf
+            assert miss == -math.inf
 
 
 def test_ratio_allows_width_above_target_when_levels_remain():
     # five lines at depth 1 can still thin down to two at depth 3
-    assert size_conditioning_ratio(CRIT, 3, 1, 5, 2).log_value > -math.inf
+    assert size_conditioning_ratio(CRIT, 3, 1, 5, 2) > -math.inf
     # but not when no levels remain
-    assert size_conditioning_ratio(CRIT, 3, 3, 5, 2).log_value == -math.inf
+    assert size_conditioning_ratio(CRIT, 3, 3, 5, 2) == -math.inf
 
 
 def test_ratio_integrates_to_one_against_generation_pmf():
@@ -193,7 +193,7 @@ def test_ratio_integrates_to_one_against_generation_pmf():
         total = 0.0
         for k in range(1, 700):
             lz = log_generation_pmf(p, h, k)
-            lr = size_conditioning_ratio(p, n, h, k, a).log_value
+            lr = size_conditioning_ratio(p, n, h, k, a)
             if lz > -math.inf and lr > -math.inf:
                 total += math.exp(lz + lr)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -217,7 +217,7 @@ def test_ratio_matches_exact_rationals():
                     * beta**i
                 )
             want = (gn / gm) ** a * (gn / delta) * gm ** (-k) * total
-            got = size_conditioning_ratio(p, n, h, k, a).log_value
+            got = size_conditioning_ratio(p, n, h, k, a)
             assert got == pytest.approx(math.log(float(want)), abs=1e-11)
 
 
@@ -254,7 +254,7 @@ def test_conditioned_law_assembles_ball_times_ratio():
     for t in enumerate_trees(2, 3):
         k = t.z(2)
         lgw = gw_tree_log_prob(CRIT, t, 2)
-        lr = size_conditioning_ratio(CRIT, 5, 2, k, 3).log_value
+        lr = size_conditioning_ratio(CRIT, 5, 2, k, 3)
         want = lgw + lr if k >= 1 else -math.inf
         assert conditioned_tree_law(CRIT, 5, 3, t, 2) == pytest.approx(
             want, rel=1e-12, abs=1e-12
@@ -519,6 +519,17 @@ def test_eta_one_tables_list_no_zero_mass_rows():
     ):
         assert law.entries
         assert -math.inf not in law.entries.values()
+
+
+def test_eta_one_conditioned_restricted_tables_build():
+    # without extinction the hidden-sibling series is a finite binomial sum
+    # whose term ratio reaches 0 at its last term; that ends the sum
+    for h in (1, 2):
+        for cap in (3, 4):
+            for k0 in (1, 2, 3):
+                law = conditioned_restricted_family(PURE, 5, 3, h, k0, cap)
+                assert law.entries
+                assert math.exp(law.log_total()) <= 1.0
 
 
 # -- the tabulated-law container --------------------------------------------

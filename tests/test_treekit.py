@@ -2,6 +2,7 @@
 
 import pytest
 
+from geomgw import treekit
 from geomgw import (
     OrderedTree,
     ResourceError,
@@ -148,3 +149,28 @@ def test_restriction_properties_on_enumerated_trees():
         assert r.height <= 2
         # restricting twice is the same as restricting once
         assert r.restrict_k(2, 1) == r
+
+
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_free_root_is_the_root_degrees_in_order(height, cap):
+    for exact in (False, True):
+        free = [t.degrees for t in enumerate_trees(height, cap, exact)]
+        pinned = [
+            t.degrees
+            for d in range(cap + 1)
+            for t in enumerate_trees(height, cap, exact, root_degree=d)
+        ]
+        assert free == pinned
+
+
+def test_only_pools_below_the_enumerated_height_are_cached():
+    assert treekit._pool.cache_info().maxsize is not None
+    treekit._pool.cache_clear()
+    list(enumerate_trees(2, 3))
+    assert treekit._pool.cache_info().currsize == 2  # heights 0 and 1
+    misses = treekit._pool.cache_info().misses
+    treekit._pool(1, 3)
+    assert treekit._pool.cache_info().misses == misses
+    treekit._pool(2, 3)
+    assert treekit._pool.cache_info().misses == misses + 1
