@@ -120,8 +120,26 @@ def _cmd_law(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _build_sampler(args: argparse.Namespace):
+    """The sampler behind `geomgw sample`, as a function of the draw's rng."""
     p = OffspringParams(args.eta, args.q)
+    h = args.height
+    if args.regime == "gw":
+        return lambda rng: sample_gw(p, rng, h)
+    if args.regime == "conditioned":
+        _need(args, "n", "a")
+        return lambda rng: sample_conditioned(p, args.n, args.a, rng, h)
+    if args.regime == "kesten":
+        return lambda rng: sample_kesten(p, rng, h)
+    if args.regime == "poisson":
+        _need(args, "theta")
+        return lambda rng: sample_poisson_tree(p, args.theta, rng, h)
+    _need(args, "k0")
+    return lambda rng: sample_condensation(p, args.k0, rng, h, variant=args.variant)
+
+
+def _cmd_sample(args: argparse.Namespace) -> int:
+    draw = _build_sampler(args)
     root = RandomSource(args.seed)
     typed = args.regime in ("kesten", "poisson") or (
         args.regime == "condensation" and args.variant == "two_type"
@@ -129,22 +147,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         out.write("tree_code,survivor_flags\n" if typed else "tree_code\n")
         for i in range(args.samples):
-            rng = root.child(i)
-            if args.regime == "gw":
-                tree = sample_gw(p, rng, args.height)
-            elif args.regime == "conditioned":
-                _need(args, "n", "a")
-                tree = sample_conditioned(p, args.n, args.a, rng, args.height)
-            elif args.regime == "kesten":
-                tree = sample_kesten(p, rng, args.height)
-            elif args.regime == "poisson":
-                _need(args, "theta")
-                tree = sample_poisson_tree(p, args.theta, rng, args.height)
-            else:
-                _need(args, "k0")
-                tree = sample_condensation(
-                    p, args.k0, rng, args.height, variant=args.variant
-                )
+            tree = draw(root.child(i))
             if isinstance(tree, TypedTree):
                 out.write(f'"{tree.tree.encode()}","{tree.flag_string()}"\n')
             else:
@@ -236,11 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="draw trees and print them line by line")
     _add_params(smp)
-    smp.add_argument(
-        "--regime",
-        required=True,
-        choices=("gw", "conditioned", "kesten", "poisson", "condensation"),
-    )
+    smp.add_argument("--regime", required=True, choices=LAW_REGIMES)
     smp.add_argument("--height", type=int, required=True)
     smp.add_argument("--samples", type=int, default=1)
     smp.add_argument("--seed", type=int, default=0)

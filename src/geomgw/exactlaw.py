@@ -365,8 +365,12 @@ def _graft_table(
     lam_hat = math.exp(log_lam_hat) if log_lam_hat != LOG_ZERO else 0.0
     i_cut = int(math.ceil(lam_hat + 10.0 * math.sqrt(lam_hat + 1.0))) + 32
     ks = np.asarray(k_values, dtype=np.int64)
-    for _ in range(6):
+    for attempt in range(7):
         k_cut = max(kmax + 2, int(math.ceil(1.5 * i_cut / (1.0 - y))) + 16)
+        # at most six passes; the term caps refuse a pass before its arrays
+        # are sized, and the error names the cuts of the refused pass
+        if attempt == 6 or i_cut > 200_000 or k_cut > 1_000_000:
+            break
         log_u = np.full(len(k_values), LOG_ZERO)
         log_err = log_c0 + log_poisson_tail(log_lam_hat, i_cut)
         for i in range(1, i_cut + 1):
@@ -401,11 +405,9 @@ def _graft_table(
         ):
             return {k: float(v) for k, v in zip(k_values, log_u)}
         i_cut *= 2
-        if i_cut > 200_000:
-            break
     raise TruncationError(
         "sibling series not certified to requested accuracy "
-        f"(rtol={SERIES_RTOL}, i_cut={i_cut})"
+        f"(rtol={SERIES_RTOL}, i_cut={i_cut}, k_cut={k_cut})"
     )
 
 

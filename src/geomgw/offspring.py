@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ValidationError
 from .logspace import LOG_ZERO, log_binomial
@@ -137,34 +138,26 @@ class IteratedLaw:
     convention gamma_0 = +inf.
     """
 
-    base: OffspringParams
     n: int
     gamma_n: float
     gamma_minus_one: float
     gamma_minus_kappa: float
     log_gamma: float
-    mean: float
+    # log(gamma_n - kappa) + log(gamma_n - 1), the log of the pole
+    # differences' product that every generation-size mass carries; it stays
+    # finite at deep generations, where the smaller difference underflows
+    log_gap_product: float
 
-    @cached_property
-    def log_gap_product(self) -> float:
-        """log(gamma_n - kappa) + log(gamma_n - 1), the log of the pole
-        differences' product that every generation-size mass carries."""
-        return math.log(self.gamma_minus_kappa) + math.log(self.gamma_minus_one)
 
-    @property
-    def eta_n(self) -> float:
-        return 1.0 - self.base.kappa / self.gamma_n if self.n > 0 else 1.0
+def _log_small_gap(gap: float, n_log_mu: float, c: float, mun: float) -> float:
+    """log of the gap c * mu^n / (1 - mu^n), with mu^n = mun.
 
-    @property
-    def q_n(self) -> float:
-        return 1.0 - 1.0 / self.gamma_n if self.n > 0 else 1.0
-
-    @property
-    def law(self) -> OffspringParams:
-        """The generation-size law as an OffspringParams (n >= 1 only)."""
-        if self.n < 1:
-            raise ValidationError("generation 0 is the point mass at 1, not a geometric law")
-        return OffspringParams(eta=self.eta_n, q=self.q_n)
+    Below the normal range the float gap has lost digits or underflowed to
+    zero, so its log is taken from the closed form instead.
+    """
+    if gap >= sys.float_info.min:
+        return math.log(gap)
+    return n_log_mu + math.log(c) - math.log1p(-mun)
 
 
 # The ball laws ask for the same few (p, n) pairs at every node of every
@@ -185,37 +178,44 @@ def iterate(p: OffspringParams, n: int) -> IteratedLaw:
         raise ValidationError(f"generation index must be >= 0, got {n}")
     if n == 0:
         return IteratedLaw(
-            base=p, n=0, gamma_n=math.inf, gamma_minus_one=math.inf,
-            gamma_minus_kappa=math.inf, log_gamma=math.inf, mean=1.0,
+            n=0, gamma_n=math.inf, gamma_minus_one=math.inf,
+            gamma_minus_kappa=math.inf, log_gamma=math.inf,
+            log_gap_product=math.inf,
         )
     mu = p.mean
     kappa = p.kappa
     if n == 1:
         # gamma_1 is the base pole itself; route around the closed form so
         # the first iterate is exact rather than correct to the last bit
+        gm1 = p.q / (1.0 - p.q)
+        gmk = p.eta / (1.0 - p.q)
         return IteratedLaw(
-            base=p, n=1, gamma_n=p.gamma,
-            gamma_minus_one=p.q / (1.0 - p.q),
-            gamma_minus_kappa=p.eta / (1.0 - p.q),
-            log_gamma=-math.log1p(-p.q), mean=mu,
+            n=1, gamma_n=p.gamma, gamma_minus_one=gm1, gamma_minus_kappa=gmk,
+            log_gamma=-math.log1p(-p.q),
+            log_gap_product=math.log(gmk) + math.log(gm1),
         )
     if p.eta == p.q:
         gm1 = (p.gamma - 1.0) / n
         gmk = gm1  # kappa == 1
-        mean_n = 1.0
+        log_gap = math.log(gmk) + math.log(gm1)
     elif mu < 1.0:
         mun = mu ** n
         gm1 = (kappa - 1.0) / (1.0 - mun)
         gmk = mun * (kappa - 1.0) / (1.0 - mun)
-        mean_n = mun
+        log_gap = (
+            _log_small_gap(gmk, n * math.log(mu), kappa - 1.0, mun)
+            + math.log(gm1)
+        )
     else:
         mun_inv = mu ** (-n)
         gm1 = (1.0 - kappa) * mun_inv / (1.0 - mun_inv)
         gmk = (1.0 - kappa) / (1.0 - mun_inv)
-        mean_n = mu ** n if n * math.log(mu) < 700 else math.inf
+        log_gap = math.log(gmk) + _log_small_gap(
+            gm1, -n * math.log(mu), 1.0 - kappa, mun_inv
+        )
     return IteratedLaw(
-        base=p, n=n, gamma_n=1.0 + gm1, gamma_minus_one=gm1,
-        gamma_minus_kappa=gmk, log_gamma=math.log1p(gm1), mean=mean_n,
+        n=n, gamma_n=1.0 + gm1, gamma_minus_one=gm1, gamma_minus_kappa=gmk,
+        log_gamma=math.log1p(gm1), log_gap_product=log_gap,
     )
 
 

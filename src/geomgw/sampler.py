@@ -10,6 +10,7 @@ reproducible bit for bit from the seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,18 +99,13 @@ def typed_tree_from_strings(code: str, flags: str) -> TypedTree:
 def preorder_paths(tree: OrderedTree) -> list[tuple]:
     """Child-index path of every node, aligned with tree.degrees."""
     paths: list[tuple] = []
-    stack: list[list] = []  # [path, degree, children already placed]
-    for idx, deg in enumerate(tree.degrees):
-        if idx == 0:
-            path: tuple = ()
+    placed = [0] * tree.size
+    for par in tree.parents():
+        if par < 0:
+            paths.append(())
         else:
-            while stack and stack[-1][2] == stack[-1][1]:
-                stack.pop()
-            parent_path, _, used = stack[-1]
-            path = parent_path + (used,)
-            stack[-1][2] = used + 1
-        paths.append(path)
-        stack.append([path, deg, 0])
+            paths.append(paths[par] + (placed[par],))
+            placed[par] += 1
     return paths
 
 
@@ -126,16 +122,15 @@ def sample_gw(
     """One branching tree truncated at `depth`, grown level by level."""
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
+    budget = _Budget(max_nodes)
+    budget.spend()
     levels = []
     width = 1
-    total = 1
     for _ in range(depth):
         degs = [rng.offspring(p) for _ in range(width)]
         levels.append(degs)
         width = sum(degs)
-        total += width
-        if total > max_nodes:
-            raise ResourceError(f"sampled tree exceeded the {max_nodes}-node cap")
+        budget.spend(width)
         if width == 0:
             return OrderedTree.from_level_degrees(levels)
     levels.append([0] * width)
@@ -220,14 +215,13 @@ def sample_conditioned(
         raise ValidationError(f"target generation size must be >= 1, got {a}")
     if not 1 <= depth <= n:
         raise ValidationError(f"need 1 <= depth <= n, got depth={depth}, n={n}")
+    budget = _Budget(max_nodes)
+    budget.spend()
     sizes = [1]
-    total = 1
     for m in range(depth):
         nxt = _bridge_step(p, sizes[-1], n - m - 1, a, rng)
         sizes.append(nxt)
-        total += nxt
-        if total > max_nodes:
-            raise ResourceError(f"sampled tree exceeded the {max_nodes}-node cap")
+        budget.spend(nxt)
     levels = [_allocate(p, sizes[m], sizes[m + 1], rng) for m in range(depth)]
     levels.append([0] * sizes[depth])
     return OrderedTree.from_level_degrees(levels)
@@ -251,6 +245,51 @@ def _grow_plain(
     return out
 
 
+def _materialize(
+    branch: Callable[[tuple], tuple],
+    law: OffspringParams,
+    rng: RandomSource,
+    depth: int,
+    budget: _Budget,
+) -> TypedTree:
+    """Grow a survivor-typed tree truncated at `depth`, in preorder.
+
+    Each survivor short of the horizon gets (degree, surviving child
+    positions) from branch(path); every other child grows a mirrored-law
+    bush. Preorder fixes the order of every draw made on the way.
+    """
+    degs: list[int] = []
+    survivors: set[tuple] = set()
+
+    def visit(path: tuple) -> None:
+        budget.spend()
+        survivors.add(path)
+        if len(path) == depth:
+            degs.append(0)
+            return
+        k, spos = branch(path)
+        degs.append(k)
+        for i in range(k):
+            if i in spos:
+                visit(path + (i,))
+            else:
+                degs.extend(_grow_plain(law, rng, depth - len(path) - 1, budget))
+
+    visit(())
+    return TypedTree(OrderedTree(degs), frozenset(survivors))
+
+
+def _scatter(
+    children: dict, u: tuple, s_u: int, qhat: float, rng: RandomSource
+) -> list[tuple]:
+    """Give survivor u its total degree from the size-biased law of its s_u
+    surviving children, place those uniformly, and return their paths."""
+    k_u = rng.size_biased_total(qhat, s_u)
+    pos = rng.uniform_subset(k_u, s_u)
+    children[u] = (k_u, frozenset(pos))
+    return [u + (i,) for i in pos]
+
+
 def sample_kesten(
     p: OffspringParams,
     rng: RandomSource,
@@ -270,53 +309,12 @@ def sample_kesten(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)
     qhat = ext.law.q
-    budget = _Budget(max_nodes)
 
-    def spine(level: int) -> tuple[list[int], list[tuple]]:
-        budget.spend()
-        if level == depth:
-            return [0], [()]
+    def branch(path: tuple) -> tuple[int, tuple]:
         k = rng.size_biased_total(qhat, 1)
-        pos = rng.below(k)
-        degs = [k]
-        paths: list[tuple] = [()]
-        for i in range(k):
-            if i == pos:
-                sub, subpaths = spine(level + 1)
-                degs.extend(sub)
-                paths.extend((i,) + sp for sp in subpaths)
-            else:
-                degs.extend(_grow_plain(ext.law, rng, depth - level - 1, budget))
-        return degs, paths
+        return k, (rng.below(k),)
 
-    degs, paths = spine(0)
-    return TypedTree(OrderedTree(degs), frozenset(paths))
-
-
-def _flatten_skeleton(
-    children: dict,
-    law: OffspringParams,
-    rng: RandomSource,
-    depth: int,
-    budget: _Budget,
-) -> list[int]:
-    """Materialize a survivor skeleton into preorder degrees, drawing the
-    extinction bushes on the way (preorder, so the draw order is fixed)."""
-
-    def visit(path: tuple, level: int) -> list[int]:
-        budget.spend()
-        if level == depth:
-            return [0]
-        k, spos = children[path]
-        out = [k]
-        for i in range(k):
-            if i in spos:
-                out.extend(visit(path + (i,), level + 1))
-            else:
-                out.extend(_grow_plain(law, rng, depth - level - 1, budget))
-        return out
-
-    return visit((), 0)
+    return _materialize(branch, ext.law, rng, depth, _Budget(max_nodes))
 
 
 def sample_poisson_tree(
@@ -341,7 +339,6 @@ def sample_poisson_tree(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)
     qhat = ext.law.q
-    budget = _Budget(max_nodes)
     children: dict = {}
     level_paths: list[tuple] = [()]
     for h in range(depth):
@@ -349,14 +346,9 @@ def sample_poisson_tree(
         counts = rng.positive_composition(len(level_paths) + delta, len(level_paths))
         nxt: list[tuple] = []
         for u, s_u in zip(level_paths, counts):
-            k_u = rng.size_biased_total(qhat, s_u)
-            pos = rng.uniform_subset(k_u, s_u)
-            children[u] = (k_u, frozenset(pos))
-            nxt.extend(u + (i,) for i in pos)
+            nxt.extend(_scatter(children, u, s_u, qhat, rng))
         level_paths = nxt
-    survivors = frozenset(children) | frozenset(level_paths)
-    degs = _flatten_skeleton(children, ext.law, rng, depth, budget)
-    return TypedTree(OrderedTree(degs), survivors)
+    return _materialize(children.__getitem__, ext.law, rng, depth, _Budget(max_nodes))
 
 
 def sample_condensation(
@@ -428,15 +420,9 @@ def _condensation_two_type(
         nu = survivor_offspring_param(p, h)
         nxt: list[tuple] = []
         for u in level_paths:
-            s_u = rng.geometric_pos(nu)
-            k_u = rng.size_biased_total(qhat, s_u)
-            pos = rng.uniform_subset(k_u, s_u)
-            children[u] = (k_u, frozenset(pos))
-            nxt.extend(u + (i,) for i in pos)
+            nxt.extend(_scatter(children, u, rng.geometric_pos(nu), qhat, rng))
         level_paths = nxt
-    survivors = frozenset(children) | frozenset(level_paths)
-    degs = _flatten_skeleton(children, ext.law, rng, depth, budget)
-    return TypedTree(OrderedTree(degs), survivors)
+    return _materialize(children.__getitem__, ext.law, rng, depth, budget)
 
 
 # ---------------------------------------------------------------------------

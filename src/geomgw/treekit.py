@@ -24,7 +24,7 @@ from .errors import ResourceError, ValidationError
 class OrderedTree:
     """Immutable rooted ordered tree backed by its preorder degree tuple."""
 
-    __slots__ = ("_degrees", "_depths", "_parents", "_hash")
+    __slots__ = ("_degrees", "_depths", "_hash")
 
     def __init__(self, degrees: Iterable[int]):
         degs = tuple(int(d) for d in degrees)
@@ -54,7 +54,6 @@ class OrderedTree:
             raise ValidationError(f"degree sequence {degs!r} is missing children")
         self._degrees = degs
         self._depths = tuple(depths)
-        self._parents = None
         self._hash = None
 
     # -- basic accessors -------------------------------------------------
@@ -90,21 +89,19 @@ class OrderedTree:
 
     def parents(self) -> tuple[int, ...]:
         """Preorder index of each node's parent (-1 for the root)."""
-        if self._parents is None:
-            par = [-1]
-            stack = []  # (node index, children still owed)
-            if self._degrees[0] > 0:
-                stack.append([0, self._degrees[0]])
-            for i, d in enumerate(self._degrees[1:], start=1):
-                par.append(stack[-1][0])
-                stack[-1][1] -= 1
-                if d > 0:
-                    stack.append([i, d])
-                else:
-                    while stack and stack[-1][1] == 0:
-                        stack.pop()
-            self._parents = tuple(par)
-        return self._parents
+        par = [-1]
+        stack = []  # (node index, children still owed)
+        if self._degrees[0] > 0:
+            stack.append([0, self._degrees[0]])
+        for i, d in enumerate(self._degrees[1:], start=1):
+            par.append(stack[-1][0])
+            stack[-1][1] -= 1
+            if d > 0:
+                stack.append([i, d])
+            else:
+                while stack and stack[-1][1] == 0:
+                    stack.pop()
+        return tuple(par)
 
     # -- truncation maps -------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Command line behavior, exercised in process through main(argv)."""
 
+import hashlib
 import io
 import json
 import math
@@ -126,6 +127,18 @@ def test_law_conditioned_restricted_without_extinction(capsys):
     assert law.entries
 
 
+@pytest.mark.parametrize("eta,q", [(0.3, 0.5), (0.6, 0.3)], ids=["sub", "sup"])
+def test_law_conditioned_at_a_deep_generation(capsys, eta, q):
+    # at n = 2000 the smaller pole gap lies below the float range
+    code, out, err = run(
+        capsys, "law", "--regime", "conditioned", "--eta", str(eta), "--q", str(q),
+        "--n", "2000", "--a", "1", "--height", "1", "--degree-cap", "3",
+    )
+    assert code == 0, err
+    law = TruncatedLaw.read_csv(io.StringIO(out))
+    assert all(math.isfinite(v) for v in law.entries.values())
+
+
 def law_args_for(regime, *extra):
     argv = list(KESTEN_LAW_ARGS)
     argv[argv.index("--regime") + 1] = regime
@@ -219,6 +232,55 @@ def test_sample_missing_conditioning(capsys):
     code, out, err = run(capsys, *sample_args("conditioned", 1))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "regime,samples",
+    [("conditioned", 0), ("poisson", 2)],
+    ids=["conditioned-no-draws", "poisson-needs-theta"],
+)
+def test_sample_checks_options_before_writing(tmp_path, capsys, regime, samples):
+    dest = tmp_path / "draws.csv"
+    code, out, err = run(capsys, *sample_args(regime, samples), "--out", str(dest))
+    assert code == 1
+    assert err.startswith("error:")
+    assert not dest.exists()
+
+
+# sampler output pinned across changes: a refactor of any sampler must keep
+# every draw and its order, so these bytes may not move
+PINNED_SAMPLES = [
+    ("gw", (), "daff989881286117b8f6fd3413b10c431fc2e313c046bca37495b4f42f748132"),
+    ("conditioned", ("--n", "6", "--a", "3"),
+     "1d82605517cc02c65594150880858176072a5d601d1fc7ae99f9abf144c29b8c"),
+    ("kesten", (), "978d0b9dab617f84861b99d8ea32ba26e0cdccebc2f409eae421bd610248e2ae"),
+    ("poisson", ("--theta", "0.7"),
+     "a9e181e16ac36201b7addb7528bb8efcb5baf8303d3627cb500d508f00548b87"),
+    ("condensation", ("--k0", "2"),
+     "c29fcf64738cad6ac97132005152371d0be11e438ff805ae02aee6e03e550c87"),
+    ("condensation", ("--k0", "2", "--variant", "inhomogeneous"),
+     "266dd3815533a1dc338a19f60a8955a497eb8d5e70743480c8f63b02f6406211"),
+    ("conditioned", ("--n", "40", "--a", "200", "--height", "5", "--samples", "200"),
+     "1dbde31c930b1f1d9cd951fa857f39405c47b1fadc4ecfa612832c5bb186f642"),
+]
+
+
+@pytest.mark.parametrize(
+    "regime,extra,digest",
+    PINNED_SAMPLES,
+    ids=["gw", "conditioned", "kesten", "poisson", "two_type", "inhomogeneous",
+         "bridge"],
+)
+def test_sample_output_is_pinned(tmp_path, capsys, regime, extra, digest):
+    dest = tmp_path / "draws.csv"
+    argv = [
+        "sample", "--regime", regime, "--eta", "0.5", "--q", "0.5",
+        "--height", "3", "--samples", "500", "--seed", "11",
+        *extra, "--out", str(dest),
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
 
 
 # -- oracle -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from geomgw import (
     OffspringParams,
     OrderedTree,
     TruncatedLaw,
+    TruncationError,
     ValidationError,
     condensation_family,
     condensation_tree_law,
@@ -117,6 +119,27 @@ def test_generation_pmf_matches_exact_rationals_deep():
         want = rational_z_pmf(p, n, a)
         got = log_generation_pmf(p, n, a)
         assert got == pytest.approx(math.log(float(want)), abs=1e-12)
+
+
+def test_generation_pmf_survives_gap_underflow():
+    # the smaller pole gap leaves the normal float range near n = 1385 for
+    # SUB (gamma_n - kappa) and near n = 1021 for SUP (gamma_n - 1)
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(SUB, n) for n in (1300, 1380, 1390, 1450, 2000, 5000)] + [
+        (SUP, n) for n in (1000, 1020, 1025, 1075, 2000, 5000)
+    ]
+    for p, n in cases:
+        # the naive closed form, with enough digits to survive gamma_n
+        # meeting its limit to within 2^-5000
+        with mpmath.workdps(1600):
+            eta, q = mpmath.mpf(p.eta), mpmath.mpf(p.q)
+            kappa = (1 - eta) / (1 - q)
+            mun = (eta / q) ** n
+            g = (kappa - mun) / (1 - mun)
+            want = [float(mpmath.log((g - kappa) * (g - 1) / g ** (a + 1)))
+                    for a in (1, 3)]
+        got = [log_generation_pmf(p, n, a) for a in (1, 3)]
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_generation_pmf_rejects_negatives():
@@ -450,6 +473,16 @@ def test_restricted_family_supports_root_degrees_up_to_k0():
         t = OrderedTree.decode(code)
         if t.root_degree < 2:
             assert t.height == 2
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_sibling_series_refuses_oversized_cuts_before_allocating(h):
+    # a tiny q puts the starting cut near 7e5 terms at h = 2 and 7e8 at
+    # h = 3; the series must give up before it sizes arrays that long
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="k_cut"):
+        poisson_restricted_family(OffspringParams(0.999, 0.001), h, 1, 0.7, 3)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_restricted_family_validation():

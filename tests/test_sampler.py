@@ -171,6 +171,33 @@ def test_conditioned_node_cap():
         sample_conditioned(CRIT, 1, 3, RandomSource(1), 1, max_nodes=2)
 
 
+@pytest.mark.parametrize(
+    "draw,cap",
+    [
+        # eta = 1 never dies out, so four levels hold at least four nodes
+        (lambda r, m: sample_gw(OffspringParams(1.0, 0.5), r, 3, max_nodes=m), 3),
+        # the root alone already exceeds an empty budget
+        (lambda r, m: sample_gw(CRIT, r, 0, max_nodes=m), 0),
+        (lambda r, m: sample_conditioned(CRIT, 3, 3, r, 3, max_nodes=m), 3),
+        (lambda r, m: sample_kesten(CRIT, r, 3, max_nodes=m), 3),
+        (lambda r, m: sample_poisson_tree(CRIT, 0.7, r, 3, max_nodes=m), 3),
+        (lambda r, m: sample_condensation(CRIT, 3, r, 1, max_nodes=m), 3),
+        (
+            lambda r, m: sample_condensation(
+                CRIT, 3, r, 1, "inhomogeneous", max_nodes=m
+            ),
+            3,
+        ),
+    ],
+    ids=["gw", "gw-root", "conditioned", "kesten", "poisson", "two_type",
+         "inhomogeneous"],
+)
+def test_every_sampler_enforces_its_node_cap(draw, cap):
+    for seed in range(5):
+        with pytest.raises(ResourceError, match=f"exceeded the {cap}-node cap"):
+            draw(RandomSource(seed), cap)
+
+
 def test_conditioned_validation():
     r = RandomSource(1)
     with pytest.raises(ValidationError):
