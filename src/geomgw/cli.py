@@ -139,15 +139,18 @@ def _build_sampler(args: argparse.Namespace):
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise ValidationError(f"--samples must be >= 0, got {args.samples}")
     draw = _build_sampler(args)
     root = RandomSource(args.seed)
-    typed = args.regime in ("kesten", "poisson") or (
-        args.regime == "condensation" and args.variant == "two_type"
-    )
+    # the first draw runs the sampler's own checks before --out is opened;
+    # substreams are independent, so it is row 0 whatever comes after
+    first = draw(root.child(0))
+    typed = isinstance(first, TypedTree)
     with _open_out(args.out) as out:
         out.write("tree_code,survivor_flags\n" if typed else "tree_code\n")
         for i in range(args.samples):
-            tree = draw(root.child(i))
+            tree = first if i == 0 else draw(root.child(i))
             if isinstance(tree, TypedTree):
                 out.write(f'"{tree.tree.encode()}","{tree.flag_string()}"\n')
             else:

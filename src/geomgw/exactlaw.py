@@ -373,18 +373,18 @@ def _graft_table(
             break
         log_u = np.full(len(k_values), LOG_ZERO)
         log_err = log_c0 + log_poisson_tail(log_lam_hat, i_cut)
+        # one term table per pass: log K! and K log y for K = 0 .. k_cut + 1
+        kk = np.arange(k_cut + 2, dtype=np.float64)
+        log_fact = gammaln(kk + 1.0)
+        k_log_y = kk * log_y
         for i in range(1, i_cut + 1):
             lw = weight_log(i)
             if lw == LOG_ZERO:
                 continue
-            kk = np.arange(i, k_cut + 1, dtype=np.float64)
-            lt = (
-                gammaln(kk + 1.0)
-                - gammaln(i + 1.0)
-                - gammaln(kk - i + 1.0)
-                + kk * log_y
-            )
-            suffix = np.logaddexp.accumulate(lt[::-1])[::-1]
+            # log C(K, i) y^K for K = i .. k_cut + 1; the last is the first
+            # term of the truncated K-tail
+            lt = log_fact[i:] - log_fact[i] - log_fact[: k_cut + 2 - i] + k_log_y[i:]
+            suffix = np.logaddexp.accumulate(lt[-2::-1])[::-1]
             idx = np.maximum(ks + 1, i) - i
             log_u = np.logaddexp(log_u, lw + suffix[idx])
             # geometric bound on the truncated K-tail of this i
@@ -392,13 +392,7 @@ def _graft_table(
             if r >= 1.0:
                 log_err = math.inf
                 break
-            lt_next = (
-                gammaln(k_cut + 2.0)
-                - gammaln(i + 1.0)
-                - gammaln(k_cut + 2.0 - i)
-                + (k_cut + 1) * log_y
-            )
-            log_err = log_add(log_err, lw + lt_next - math.log1p(-r))
+            log_err = log_add(log_err, lw + float(lt[-1]) - math.log1p(-r))
         floor = float(np.min(log_u))
         if log_err == LOG_ZERO or (
             floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor

@@ -10,7 +10,9 @@ the coarse a-priori targets.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
+import io
 import math
 import os
 import subprocess
@@ -46,6 +48,7 @@ from geomgw import (
     sample_gw,
     sample_kesten,
     sample_poisson_tree,
+    write_regime_csv,
 )
 from geomgw import oracle
 from geomgw.cli import main as cli_main
@@ -344,6 +347,13 @@ def test_criterion_7_theta_continuity():
 # condensation curve bottoms out at the double-precision noise floor near
 # 1e-12..1e-10 for n >= 25, hence the looser pin).
 PINNED_END_TV = {"kesten": 0.0206, "poisson": 0.0126, "condensation": 1e-9}
+# SHA-256 of each bundled sweep's CSV: output bytes stay the same across
+# refactors, and a fix that moves them must say so
+PINNED_CSV = {
+    "kesten": "8d01cf479a1958b72ab8fb778915c3e3cf8472125ca80cce0fd10b4a164d0d92",
+    "poisson": "2528a8ccfdc14ebb66178d0f299726c9195882988fdad990e5444978ed782698",
+    "condensation": "95bc14b27ab5d1f76317816c6a51f5c4cde7c1f0f11304d01c3518e4b621ba02",
+}
 
 
 def _bundled(name: str) -> ExperimentConfig:
@@ -365,6 +375,10 @@ def test_criterion_8_regime_convergence():
             assert curve[-1] < 0.05
         else:
             assert all(row.certified for row in rows), name
+        csv = io.StringIO()
+        write_regime_csv(rows, csv)
+        digest = hashlib.sha256(csv.getvalue().encode()).hexdigest()
+        assert digest == PINNED_CSV[name], name
         ends[name] = curve[-1]
     _stamp(
         8, "regime convergence", t0, 600.0,

@@ -235,13 +235,24 @@ def test_sample_missing_conditioning(capsys):
 
 
 @pytest.mark.parametrize(
-    "regime,samples",
-    [("conditioned", 0), ("poisson", 2)],
-    ids=["conditioned-no-draws", "poisson-needs-theta"],
+    "regime,samples,extra",
+    [
+        ("conditioned", 0, ()),
+        ("poisson", 2, ()),
+        ("kesten", 0, ("--height", "-1")),
+        ("condensation", 2, ("--k0", "0")),
+        ("kesten", -1, ()),
+    ],
+    ids=["conditioned-no-draws", "poisson-needs-theta", "kesten-negative-height",
+         "condensation-zero-k0", "negative-samples"],
 )
-def test_sample_checks_options_before_writing(tmp_path, capsys, regime, samples):
+def test_sample_checks_options_before_writing(
+    tmp_path, capsys, regime, samples, extra
+):
     dest = tmp_path / "draws.csv"
-    code, out, err = run(capsys, *sample_args(regime, samples), "--out", str(dest))
+    code, out, err = run(
+        capsys, *sample_args(regime, samples, *extra), "--out", str(dest)
+    )
     assert code == 1
     assert err.startswith("error:")
     assert not dest.exists()

@@ -36,6 +36,7 @@ from geomgw import (
     poisson_tree_law,
     size_conditioning_ratio,
 )
+from geomgw import exactlaw
 from geomgw.exactlaw import law_normalize_check
 
 CRIT = OffspringParams(0.5, 0.5)
@@ -483,6 +484,38 @@ def test_sibling_series_refuses_oversized_cuts_before_allocating(h):
     with pytest.raises(TruncationError, match="k_cut"):
         poisson_restricted_family(OffspringParams(0.999, 0.001), h, 1, 0.7, 3)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n,a", [(10, 3), (50, 125_000), (390, 59_319_000)])
+def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
+    # the series kernel against S_i(m) = sum_{K >= m} C(K, i) y^K, summed in
+    # mpmath through S_0(m) = y^m / (1-y) and
+    # S_i(m) = (C(m, i) y^m + y S_{i-1}(m)) / (1-y), with the same weights;
+    # a = 3 puts the weight on the terms i <= k + 1, the large a_n on i >> k
+    mpmath = pytest.importorskip("mpmath")
+    seen = {}
+    graft = exactlaw._graft_table
+
+    def recording(*args):
+        seen["args"], seen["table"] = args, graft(*args)
+        return seen["table"]
+
+    monkeypatch.setattr(exactlaw, "_graft_table", recording)
+    exactlaw._sibling_sum_conditioned(CRIT, n, a, 2, [1, 40])
+    log_y, weight_log, _, log_lam_hat, k_values = seen["args"]
+    got = seen["table"]
+    lam_hat = math.exp(log_lam_hat)
+    i_max = int(lam_hat + 20.0 * math.sqrt(lam_hat + 1.0)) + 100
+    with mpmath.workdps(30):
+        y = mpmath.exp(log_y)
+        for k in k_values:
+            m = k + 1
+            s = y**m / (1 - y)
+            u = mpmath.mpf(0)
+            for i in range(1, i_max + 1):
+                s = (mpmath.binomial(m, i) * y**m + y * s) / (1 - y)
+                u += mpmath.exp(weight_log(i)) * s
+            assert abs(got[k] - float(mpmath.log(u))) <= 1e-11, (n, k)
 
 
 def test_restricted_family_validation():

@@ -1,5 +1,7 @@
 """Sweep configs, distances, and the convergence experiments."""
 
+import hashlib
+import importlib.resources
 import io
 import math
 import random
@@ -208,6 +210,19 @@ def test_run_regime_condensation_smoke():
     assert rows[-1].tv_exact < rows[0].tv_exact
 
 
+def test_run_regime_condensation_at_astronomic_targets():
+    # a_n = n 2^n reaches 4.4e13 at n = 40; there log C(a-1, i-1)
+    # once cancelled to 0.17 in the log and the tabulated mass passed 1
+    cfg = small_cfg(
+        eta=0.6, q=0.3, regime="condensation", h=2, k0=2, degree_cap=40,
+        n_grid=(10, 15, 20, 25, 30, 35, 40, 45, 50), a_rule="default",
+    )
+    rows = run_regime(cfg, workers=1)
+    assert rows[-1].a_n == 56_294_995_342_131_200
+    assert all(r.certified for r in rows)
+    assert rows[-1].tv_exact < 1e-9
+
+
 def test_run_regime_is_deterministic_and_worker_independent():
     first = run_regime(small_cfg(), workers=1)
     again = run_regime(small_cfg(), workers=1)
@@ -268,6 +283,29 @@ def test_theta_csv_layout():
     assert lines[0] == ",".join(THETA_CSV_COLUMNS)
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 0.5
+
+
+def _csv_sha256(write, rows) -> str:
+    out = io.StringIO()
+    write(rows, out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_series_and_theta_csv_bytes_are_pinned():
+    # the bundled theta sweep and a 20-point certified series grid up to
+    # a_n = 5.9e7; output bytes stay the same across refactors
+    ref = importlib.resources.files("geomgw") / "configs" / "poisson.json"
+    theta = run_theta_continuity(ExperimentConfig.from_json(ref.read_text()))
+    assert _csv_sha256(write_theta_csv, theta) == (
+        "e571f48b624b39595934d861797b868e51964a5f7d453dfc043758bb5c76bc9e"
+    )
+    series = ExperimentConfig(
+        eta=0.5, q=0.5, regime="condensation", h=2, k0=2, degree_cap=40,
+        n_grid=tuple(range(10, 391, 20)), seed=20260817, certify_tolerance=0.01,
+    )
+    assert _csv_sha256(write_regime_csv, run_regime(series)) == (
+        "283536615c4de89051f7571200509bbd2c9608d9c09190ebb6dc6ad25e71433d"
+    )
 
 
 def test_svg_chart_smoke():

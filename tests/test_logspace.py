@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from geomgw.logspace import LOG_ZERO, log_sub
+from geomgw.logspace import LOG_ZERO, log_binomial, log_sub
 
 
 def test_log_sub_half_an_ulp_below_is_zero():
@@ -31,3 +31,14 @@ def test_log_sub_corners():
     assert log_sub(0.0, 1e-12) == LOG_ZERO
     with pytest.raises(ValueError):
         log_sub(0.0, 1e-3)
+
+
+@pytest.mark.parametrize("n", [4.4e13, 5.6e16])
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_log_binomial_at_astronomic_n(n, k):
+    # three lgamma terms near n log n cancel to an error of 0.17 (n = 4.4e13)
+    # and 39 (n = 5.6e16) in the log
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(mpmath.log(mpmath.binomial(mpmath.mpf(n), k)))
+    assert abs(log_binomial(n, k) - want) <= 1e-12
