@@ -77,76 +77,3 @@ from .sampler import (
 from .treekit import OrderedTree, count_trees, enumerate_trees, local_distance
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditError",
-    "CertificationError",
-    "ConvergenceRow",
-    "ExperimentConfig",
-    "ExtinctionParams",
-    "GTestResult",
-    "GeomGWError",
-    "IteratedLaw",
-    "OffspringParams",
-    "OrderedTree",
-    "RandomSource",
-    "ResourceError",
-    "ThetaRow",
-    "TruncatedLaw",
-    "TruncationError",
-    "TypedTree",
-    "ValidationError",
-    "audit_skeleton",
-    "audit_spine",
-    "condensation_family",
-    "condensation_offspring_params",
-    "condensation_tree_law",
-    "condensation_tree_law_product",
-    "conditioned_family",
-    "conditioned_restricted_family",
-    "conditioned_tree_law",
-    "count_trees",
-    "cumulative_immigration",
-    "enumerate_trees",
-    "equivalence_suite",
-    "extinction_params",
-    "g_test_against_law",
-    "g_test_two_sample",
-    "gamma_gap",
-    "generation_scale",
-    "gw_family",
-    "gw_tree_log_prob",
-    "immigration_rate",
-    "iterate",
-    "kesten_family",
-    "kesten_restricted_family",
-    "kesten_tree_law",
-    "local_distance",
-    "log_condensation_offspring",
-    "log_forest_pmf",
-    "log_gamma_ratio",
-    "log_generation_pmf",
-    "log_poisson_weight",
-    "log_size_biased",
-    "per_tree_gap",
-    "poisson_family",
-    "poisson_restricted_family",
-    "poisson_tree_law",
-    "run_regime",
-    "run_theta_continuity",
-    "sample_condensation",
-    "sample_conditioned",
-    "sample_gw",
-    "sample_kesten",
-    "sample_poisson_tree",
-    "size_conditioning_ratio",
-    "survivor_offspring_param",
-    "target_generation_size",
-    "tv_distance",
-    "typed_tree_from_strings",
-    "worker_count",
-    "write_regime_csv",
-    "write_svg_chart",
-    "write_theta_csv",
-    "__version__",
-]

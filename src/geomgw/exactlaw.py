@@ -583,14 +583,16 @@ class TruncatedLaw:
         return cls(entries=entries, log_residual=log_residual, meta=meta)
 
 
-def law_normalize_check(law: TruncatedLaw, tol: float = MASS_TOLERANCE) -> float:
-    """Total tabulated mass; raises if it exceeds 1 beyond rounding slack."""
-    total = math.exp(law.log_total()) if law.entries else 0.0
-    if total > 1.0 + tol:
+def law_normalize_check(law: TruncatedLaw) -> float:
+    """Log of the total tabulated mass; raises if the mass exceeds 1 beyond
+    rounding slack."""
+    log_total = law.log_total()
+    total = math.exp(log_total)
+    if total > 1.0 + MASS_TOLERANCE:
         raise CertificationError(
             f"tabulated mass {total!r} exceeds 1 (law {law.meta.get('law', '?')})"
         )
-    return total
+    return log_total
 
 
 @lru_cache(maxsize=64)
@@ -633,8 +635,7 @@ def _tabulate(rows, weight) -> dict[str, float]:
 
 def _finalize(entries: dict[str, float], meta: dict[str, str]) -> TruncatedLaw:
     law = TruncatedLaw(entries=entries, log_residual=LOG_ZERO, meta=meta)
-    law_normalize_check(law)
-    law.log_residual = log_sub(0.0, law.log_total()) if entries else 0.0
+    law.log_residual = log_sub(0.0, law_normalize_check(law))
     return law
 
 

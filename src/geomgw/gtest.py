@@ -41,11 +41,10 @@ def _finish(statistic: float, df: int, classes: int, pooled: int) -> GTestResult
 def g_test_against_law(
     counts: Mapping[str, int],
     law: TruncatedLaw,
-    min_expected: float = MIN_EXPECTED,
 ) -> GTestResult:
     """G-test of observed class counts against an exact truncated law.
 
-    Classes whose expected count falls below min_expected are pooled into a
+    Classes whose expected count falls below MIN_EXPECTED are pooled into a
     single rest bucket together with everything outside the law's support
     table (the residual mass makes that bucket's expectation honest).
     """
@@ -56,7 +55,7 @@ def g_test_against_law(
     kept_codes = set()
     for code, logp in law.entries.items():
         expected = total * math.exp(logp)
-        if expected >= min_expected:
+        if expected >= MIN_EXPECTED:
             kept.append((float(counts.get(code, 0)), expected))
             kept_codes.add(code)
     rest_obs = float(sum(c for code, c in counts.items() if code not in kept_codes))
@@ -79,7 +78,6 @@ def g_test_against_law(
 def g_test_two_sample(
     counts1: Mapping[str, int],
     counts2: Mapping[str, int],
-    min_expected: float = MIN_EXPECTED,
 ) -> GTestResult:
     """G-test of homogeneity for two independent count tables."""
     n1 = sum(counts1.values())
@@ -93,7 +91,7 @@ def g_test_two_sample(
     rest = [0.0, 0.0]
     for code in codes:
         col = counts1.get(code, 0) + counts2.get(code, 0)
-        if col * small_fraction >= min_expected:
+        if col * small_fraction >= MIN_EXPECTED:
             kept_codes.append(code)
         else:
             rest[0] += counts1.get(code, 0)

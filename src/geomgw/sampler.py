@@ -51,62 +51,42 @@ class _Budget:
 
 @dataclass(frozen=True)
 class TypedTree:
-    """An ordered tree plus the set of survivor-type vertices.
+    """An ordered tree plus its survivor-flag column.
 
-    Survivors are stored as child-index paths from the root; the root itself
-    is the empty tuple. The plain tree is in `tree` and carries no types.
+    `flags` holds one character per node in preorder, aligned with
+    tree.degrees: "1" for a survivor, "0" for an extinction node. The column
+    rides next to OrderedTree.encode() in sampler output, so a typed tree
+    round-trips through two text fields.
     """
 
     tree: OrderedTree
-    survivors: frozenset
+    flags: str
 
-    def survivors_at(self, level: int) -> frozenset:
-        return frozenset(u for u in self.survivors if len(u) == level)
+    def __post_init__(self) -> None:
+        if len(self.flags) != self.tree.size:
+            raise ValidationError(
+                f"flag column length {len(self.flags)} does not match "
+                f"{self.tree.size} nodes"
+            )
+        if not set(self.flags) <= {"0", "1"}:
+            raise ValidationError("flag column holds characters other than 0 and 1")
 
     def survivor_counts(self, depth: int) -> list[int]:
         """Number of survivors per level, for levels 0 .. depth."""
         counts = [0] * (depth + 1)
-        for u in self.survivors:
-            counts[len(u)] += 1
+        for level, bit in zip(self.tree.depths, self.flags):
+            if bit == "1":
+                counts[level] += 1
         return counts
 
     def flag_string(self) -> str:
-        """One character per node in preorder: 1 survivor, 0 extinction.
-
-        Rides next to OrderedTree.encode() as a sidecar column in sampler
-        output, so a typed tree round-trips through two text fields.
-        """
-        return "".join(
-            "1" if path in self.survivors else "0"
-            for path in preorder_paths(self.tree)
-        )
+        """The flag column, as sampler output prints it."""
+        return self.flags
 
 
 def typed_tree_from_strings(code: str, flags: str) -> TypedTree:
     """Rebuild a TypedTree from OrderedTree.encode() plus its flag column."""
-    tree = OrderedTree.decode(code)
-    paths = preorder_paths(tree)
-    if len(flags) != len(paths):
-        raise ValidationError(
-            f"flag column length {len(flags)} does not match {len(paths)} nodes"
-        )
-    survivors = frozenset(
-        path for path, bit in zip(paths, flags) if bit == "1"
-    )
-    return TypedTree(tree, survivors)
-
-
-def preorder_paths(tree: OrderedTree) -> list[tuple]:
-    """Child-index path of every node, aligned with tree.degrees."""
-    paths: list[tuple] = []
-    placed = [0] * tree.size
-    for par in tree.parents():
-        if par < 0:
-            paths.append(())
-        else:
-            paths.append(paths[par] + (placed[par],))
-            placed[par] += 1
-    return paths
+    return TypedTree(OrderedTree.decode(code), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +226,7 @@ def _grow_plain(
 
 
 def _materialize(
-    branch: Callable[[tuple], tuple],
+    branch: Callable[[int], tuple],
     law: OffspringParams,
     rng: RandomSource,
     depth: int,
@@ -255,39 +235,45 @@ def _materialize(
     """Grow a survivor-typed tree truncated at `depth`, in preorder.
 
     Each survivor short of the horizon gets (degree, surviving child
-    positions) from branch(path); every other child grows a mirrored-law
-    bush. Preorder fixes the order of every draw made on the way.
+    positions) from branch(level); preorder meets the survivors of a level
+    left to right. Every other child grows a mirrored-law bush. Preorder
+    fixes the order of every draw made on the way.
     """
     degs: list[int] = []
-    survivors: set[tuple] = set()
+    flags: list[str] = []
 
-    def visit(path: tuple) -> None:
+    def visit(level: int) -> None:
         budget.spend()
-        survivors.add(path)
-        if len(path) == depth:
+        flags.append("1")
+        if level == depth:
             degs.append(0)
             return
-        k, spos = branch(path)
+        k, spos = branch(level)
         degs.append(k)
         for i in range(k):
             if i in spos:
-                visit(path + (i,))
+                visit(level + 1)
             else:
-                degs.extend(_grow_plain(law, rng, depth - len(path) - 1, budget))
+                bush = _grow_plain(law, rng, depth - level - 1, budget)
+                degs.extend(bush)
+                flags.append("0" * len(bush))
 
-    visit(())
-    return TypedTree(OrderedTree(degs), frozenset(survivors))
+    visit(0)
+    return TypedTree(OrderedTree(degs), "".join(flags))
 
 
-def _scatter(
-    children: dict, u: tuple, s_u: int, qhat: float, rng: RandomSource
-) -> list[tuple]:
-    """Give survivor u its total degree from the size-biased law of its s_u
-    surviving children, place those uniformly, and return their paths."""
-    k_u = rng.size_biased_total(qhat, s_u)
-    pos = rng.uniform_subset(k_u, s_u)
-    children[u] = (k_u, frozenset(pos))
-    return [u + (i,) for i in pos]
+def _scatter(s: int, qhat: float, rng: RandomSource) -> tuple[int, frozenset]:
+    """Total degree of a survivor with s surviving children, drawn from the
+    size-biased law, and the uniform positions of those children."""
+    k = rng.size_biased_total(qhat, s)
+    return k, frozenset(rng.uniform_subset(k, s))
+
+
+def _skeleton_branch(skeleton: list[list[tuple]]) -> Callable[[int], tuple]:
+    """branch(level) over a skeleton drawn as one left-to-right list of
+    (degree, surviving positions) per level."""
+    queues = [iter(level) for level in skeleton]
+    return lambda level: next(queues[level])
 
 
 def sample_kesten(
@@ -310,7 +296,7 @@ def sample_kesten(
     ext = extinction_params(p)
     qhat = ext.law.q
 
-    def branch(path: tuple) -> tuple[int, tuple]:
+    def branch(level: int) -> tuple[int, tuple]:
         k = rng.size_biased_total(qhat, 1)
         return k, (rng.below(k),)
 
@@ -339,16 +325,16 @@ def sample_poisson_tree(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)
     qhat = ext.law.q
-    children: dict = {}
-    level_paths: list[tuple] = [()]
+    skeleton = []
+    width = 1
     for h in range(depth):
         delta = rng.poisson(theta * immigration_rate(p, h))
-        counts = rng.positive_composition(len(level_paths) + delta, len(level_paths))
-        nxt: list[tuple] = []
-        for u, s_u in zip(level_paths, counts):
-            nxt.extend(_scatter(children, u, s_u, qhat, rng))
-        level_paths = nxt
-    return _materialize(children.__getitem__, ext.law, rng, depth, _Budget(max_nodes))
+        counts = rng.positive_composition(width + delta, width)
+        skeleton.append([_scatter(s, qhat, rng) for s in counts])
+        width += delta
+    return _materialize(
+        _skeleton_branch(skeleton), ext.law, rng, depth, _Budget(max_nodes)
+    )
 
 
 def sample_condensation(
@@ -414,38 +400,40 @@ def _condensation_two_type(
     ext = extinction_params(p)
     qhat = ext.law.q
     root_surv = frozenset(i for i in range(k0) if rng.uniform() < qhat)
-    children: dict = {(): (k0, root_surv)}
-    level_paths: list[tuple] = [(i,) for i in sorted(root_surv)]
+    skeleton = [[(k0, root_surv)]]
+    width = len(root_surv)
     for h in range(1, depth):
         nu = survivor_offspring_param(p, h)
-        nxt: list[tuple] = []
-        for u in level_paths:
-            nxt.extend(_scatter(children, u, rng.geometric_pos(nu), qhat, rng))
-        level_paths = nxt
-    return _materialize(children.__getitem__, ext.law, rng, depth, budget)
+        level = [_scatter(rng.geometric_pos(nu), qhat, rng) for _ in range(width)]
+        skeleton.append(level)
+        width = sum(len(spos) for _, spos in level)
+    return _materialize(_skeleton_branch(skeleton), ext.law, rng, depth, budget)
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def _audit_membership(tt: TypedTree, depth: int) -> None:
-    nodes = set(preorder_paths(tt.tree))
-    for u in tt.survivors:
-        if u not in nodes:
-            raise AuditError(f"survivor path {u} is not a node of the tree")
-        if len(u) > depth:
-            raise AuditError(f"survivor path {u} lies below level {depth}")
-        if u and u[:-1] not in tt.survivors:
-            raise AuditError(f"survivor {u} has a non-survivor parent")
-    if () not in tt.survivors:
+def _audit_closure(tt: TypedTree, depth: int) -> tuple[int, ...]:
+    """The root survives, no survivor lies below `depth`, and survival is
+    closed under taking parents. Returns the tree's parent indices."""
+    if tt.flags[0] != "1":
         raise AuditError("the root is not a survivor")
+    parents = tt.tree.parents()
+    for i, (bit, level, par) in enumerate(zip(tt.flags, tt.tree.depths, parents)):
+        if bit != "1":
+            continue
+        if level > depth:
+            raise AuditError(f"survivor node {i} lies below level {depth}")
+        if par >= 0 and tt.flags[par] != "1":
+            raise AuditError(f"survivor node {i} has a non-survivor parent")
+    return parents
 
 
 def audit_spine(tt: TypedTree, depth: int) -> None:
     """Kesten invariants: survival is a single chain from root to level
     `depth`, one survivor per level. Raises AuditError otherwise."""
-    _audit_membership(tt, depth)
+    _audit_closure(tt, depth)
     counts = tt.survivor_counts(depth)
     for level, c in enumerate(counts):
         if c != 1:
@@ -458,10 +446,14 @@ def audit_skeleton(tt: TypedTree, depth: int, allow_barren_root: bool = False) -
     child. A condensation view keeps only k0 of the root's infinitely many
     children, so its root may legitimately end up barren; pass
     allow_barren_root=True there."""
-    _audit_membership(tt, depth)
-    with_children = {u[:-1] for u in tt.survivors if u}
-    for u in tt.survivors:
-        if len(u) < depth and u not in with_children:
-            if u == () and allow_barren_root:
+    parents = _audit_closure(tt, depth)
+    survivors = [i for i, bit in enumerate(tt.flags) if bit == "1"]
+    with_children = {parents[i] for i in survivors}
+    for i in survivors:
+        level = tt.tree.depths[i]
+        if level < depth and i not in with_children:
+            if i == 0 and allow_barren_root:
                 continue
-            raise AuditError(f"survivor {u} at level {len(u)} has no survivor child")
+            raise AuditError(
+                f"survivor node {i} at level {level} has no survivor child"
+            )

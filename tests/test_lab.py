@@ -165,6 +165,18 @@ def test_tv_distance_is_insertion_order_invariant():
         assert scrambled == fwd
 
 
+def test_tv_distance_sums_left_to_right():
+    # the pinned sweep CSVs hold a plain left-to-right sum: here it rounds
+    # each 1e-16 term away against 1.0, while a compensated sum (builtin
+    # sum() from Python 3.12 on, math.fsum) keeps them and ends one ulp up
+    l1 = law_of({"0": 1.0}, 0.0, h="1")
+    l2 = law_of({"1,0": 1e-16, "2,0,0": 1e-16}, 1.0 - 2e-16, h="1")
+    terms = [1.0, math.exp(math.log(1e-16)), math.exp(math.log(1e-16))]
+    assert math.fsum(terms) > 1.0
+    tv, _ = tv_distance(l1, l2)
+    assert tv == 0.5
+
+
 def test_tv_distance_rejects_mismatched_views():
     l1 = law_of({"1,0": 0.5}, 0.5, h="1", k0="1")
     l2 = law_of({"1,0": 0.5}, 0.5, h="2", k0="1")

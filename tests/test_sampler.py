@@ -34,7 +34,6 @@ from geomgw import (
     sample_poisson_tree,
     typed_tree_from_strings,
 )
-from geomgw.sampler import preorder_paths
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.3, 0.5)
@@ -65,10 +64,6 @@ def g_pvalue(counts, pmf, draws, support):
         obs, exp, lambda_="log-likelihood"
     )
     return p
-
-
-def degree_by_path(tree):
-    return dict(zip(preorder_paths(tree), tree.degrees))
 
 
 # -- determinism -------------------------------------------------------------
@@ -238,11 +233,9 @@ def test_kesten_bushes_follow_the_dual_law():
     counts: Counter = Counter()
     for _ in range(draws):
         tt = sample_kesten(SUP, r, 2)
-        degs = degree_by_path(tt.tree)
-        spine_child = next(u for u in tt.survivors_at(1))
-        for i in range(tt.tree.root_degree):
-            if (i,) != spine_child:
-                counts[degs[(i,)]] += 1
+        for deg, level, bit in zip(tt.tree.degrees, tt.tree.depths, tt.flags):
+            if level == 1 and bit == "0":
+                counts[deg] += 1
     total = sum(counts.values())
     p = g_pvalue(
         counts, lambda k: math.exp(ext.law.log_pmf(k)), total, range(25)
@@ -272,7 +265,7 @@ def test_poisson_immigration_count_law():
     draws = 6000
     r = RandomSource(654)
     counts = Counter(
-        len(sample_poisson_tree(CRIT, theta, r, 1).survivors_at(1)) - 1
+        sample_poisson_tree(CRIT, theta, r, 1).survivor_counts(1)[1] - 1
         for _ in range(draws)
     )
     p = g_pvalue(
@@ -344,9 +337,8 @@ def test_condensation_depth_one_degree_follows_the_tilt():
     draws = 6000
     r = RandomSource(404)
     counts = Counter(
-        degree_by_path(
-            sample_condensation(CRIT, 1, r, 2, "inhomogeneous")
-        )[(0,)]
+        # k0 = 1: the root's one child is node 1 in preorder
+        sample_condensation(CRIT, 1, r, 2, "inhomogeneous").degrees[1]
         for _ in range(draws)
     )
     p = g_pvalue(
@@ -410,11 +402,6 @@ def test_condensation_validation():
 # -- typed trees and audits --------------------------------------------------
 
 
-def test_preorder_paths_hand_example():
-    t = OrderedTree((2, 1, 0, 0))
-    assert preorder_paths(t) == [(), (0,), (0, 0), (1,)]
-
-
 def test_flag_string_round_trip():
     for seed in range(20):
         tt = sample_poisson_tree(CRIT, 0.8, RandomSource(seed), 3)
@@ -423,31 +410,45 @@ def test_flag_string_round_trip():
 
 
 def test_flag_string_aligns_with_preorder():
-    tt = TypedTree(OrderedTree((2, 1, 0, 0)), frozenset({(), (0,), (0, 0)}))
+    tt = TypedTree(OrderedTree((2, 1, 0, 0)), "1110")
     assert tt.flag_string() == "1110"
     assert tt.survivor_counts(2) == [1, 1, 1]
-    assert tt.survivors_at(1) == frozenset({(0,)})
 
 
 def test_typed_tree_from_strings_length_check():
     with pytest.raises(ValidationError):
         typed_tree_from_strings("2,0,0", "10")
+    # the right length is not enough: every character is a 0/1 flag
+    with pytest.raises(ValidationError):
+        typed_tree_from_strings("2,0,0", "1x1")
 
 
 def test_spine_audit_rejects_wide_survival():
-    tt = TypedTree(OrderedTree((2, 0, 0)), frozenset({(), (0,), (1,)}))
+    tt = TypedTree(OrderedTree((2, 0, 0)), "111")
     with pytest.raises(AuditError):
         audit_spine(tt, 1)
 
 
 def test_skeleton_audit_rejects_orphans_and_barren_lines():
-    no_root = TypedTree(OrderedTree((1, 0)), frozenset({(0,)}))
+    no_root = TypedTree(OrderedTree((1, 0)), "01")
     with pytest.raises(AuditError):
         audit_skeleton(no_root, 1)
-    barren = TypedTree(OrderedTree((1, 1, 0)), frozenset({()}))
+    barren = TypedTree(OrderedTree((1, 1, 0)), "100")
     with pytest.raises(AuditError):
         audit_skeleton(barren, 2)
     audit_skeleton(barren, 2, allow_barren_root=True)
-    deep_barren = TypedTree(OrderedTree((1, 1, 0)), frozenset({(), (0,)}))
+    deep_barren = TypedTree(OrderedTree((1, 1, 0)), "110")
     with pytest.raises(AuditError):
         audit_skeleton(deep_barren, 2, allow_barren_root=True)
+    # a survivor under an extinction node, and one below the horizon; the
+    # other invariants hold, so only closure under parents or the horizon
+    # check can catch these
+    two_lines = OrderedTree((2, 1, 0, 1, 0))
+    with pytest.raises(AuditError):
+        audit_skeleton(TypedTree(two_lines, "11101"), 2)
+    with pytest.raises(AuditError):
+        audit_spine(TypedTree(two_lines, "11001"), 2)
+    too_deep = TypedTree(OrderedTree((1, 1, 0)), "111")
+    audit_spine(too_deep, 2)
+    with pytest.raises(AuditError):
+        audit_skeleton(too_deep, 1)
