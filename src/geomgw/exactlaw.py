@@ -597,19 +597,14 @@ def law_normalize_check(law: TruncatedLaw) -> float:
 
 @lru_cache(maxsize=64)
 def _skeleton(
-    p: OffspringParams,
-    h: int,
-    degree_cap: int,
-    exact_height: bool,
-    root_degree: int | None,
+    p: OffspringParams, h: int, degree_cap: int, root_degree: int | None
 ) -> tuple[tuple[str, float, int], ...]:
-    """(code, log ball mass, bottom width) for each enumerated ball shape,
-    sorted by code. The expensive part of every family build, so cached."""
+    """(code, log ball mass, bottom width) for each ball shape of height
+    <= h, sorted by code. The expensive part of every family build, so
+    cached; the width weights drop the shapes that do not reach depth h."""
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
     rows = []
-    for t in enumerate_trees(
-        h, degree_cap, exact_height=exact_height, root_degree=root_degree
-    ):
+    for t in enumerate_trees(h, degree_cap, root_degree=root_degree):
         lgw = 0.0
         for d, dep in zip(t.degrees, t.depths):
             if dep < h:
@@ -657,7 +652,7 @@ def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     ball shape with height <= h and degrees <= degree_cap."""
     if h < 0:
         raise ValidationError("radius must be >= 0")
-    entries = _tabulate(_skeleton(p, h, degree_cap, False, None), lambda k: 0.0)
+    entries = _tabulate(_skeleton(p, h, degree_cap, None), lambda k: 0.0)
     return _finalize(entries, _base_meta(p, "gw", h, degree_cap))
 
 
@@ -669,7 +664,7 @@ def conditioned_family(
     if not 1 <= h <= n:
         raise ValidationError("need 1 <= h <= n")
     entries = _tabulate(
-        _skeleton(p, h, degree_cap, True, None),
+        _skeleton(p, h, degree_cap, None),
         lambda k: size_conditioning_ratio(p, n, h, k, a),
     )
     meta = _base_meta(p, "conditioned", h, degree_cap, n=str(n), a=str(a))
@@ -681,7 +676,7 @@ def kesten_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     if h < 1:
         raise ValidationError("radius must be >= 1")
     entries = _tabulate(
-        _skeleton(p, h, degree_cap, True, None),
+        _skeleton(p, h, degree_cap, None),
         lambda k: _log_kesten_weight(p, h, k),
     )
     return _finalize(entries, _base_meta(p, "kesten", h, degree_cap))
@@ -694,7 +689,7 @@ def poisson_family(
     if h < 1:
         raise ValidationError("radius must be >= 1")
     entries = _tabulate(
-        _skeleton(p, h, degree_cap, True, None),
+        _skeleton(p, h, degree_cap, None),
         lambda k: log_poisson_weight(p, h, k, theta),
     )
     meta = _base_meta(p, "poisson", h, degree_cap, theta=repr(float(theta)))
@@ -710,7 +705,7 @@ def condensation_family(
     if h < 1 or k0 < 1:
         raise ValidationError("need h >= 1 and k0 >= 1")
     entries = _tabulate(
-        _skeleton(p, h, degree_cap, False, k0),
+        _skeleton(p, h, degree_cap, k0),
         lambda k: _log_condensation_weight(p, h, k),
     )
     meta = _base_meta(p, "condensation", h, degree_cap, k0=str(k0))
@@ -742,8 +737,8 @@ def _restricted_family(
         raise ValidationError("need h >= 1 and k0 >= 1")
     entries: dict[str, float] = {}
     for j in range(1, k0):
-        entries.update(_tabulate(_skeleton(p, h, degree_cap, True, j), weight))
-    skel = _skeleton(p, h, degree_cap, False, k0)
+        entries.update(_tabulate(_skeleton(p, h, degree_cap, j), weight))
+    skel = _skeleton(p, h, degree_cap, k0)
     # weights before the series, so a weight's own check (Kesten: eta < 1)
     # is the error a caller sees
     own = {k: weight(k) for k in sorted({k for _, _, k in skel})}

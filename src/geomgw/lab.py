@@ -71,6 +71,15 @@ class ExperimentConfig:
     theta_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # JSON hands over any value; a bool is an int to isinstance
+        ints = [(f, getattr(self, f)) for f in ("h", "degree_cap", "k0", "a_const")]
+        ints += [("n_grid entry", n) for n in self.n_grid]
+        reals = [(f, getattr(self, f)) for f in ("eta", "q", "theta", "certify_tolerance")]
+        reals += [("theta_grid entry", t) for t in self.theta_grid]
+        for kind, what, fields in ((int, "an integer", ints), ((int, float), "a number", reals)):
+            for name, value in fields:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValidationError(f"{name} must be {what}, got {value!r}")
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.h < 1:
@@ -110,6 +119,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config fields {sorted(extra)}")
         for key in ("n_grid", "theta_grid"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ValidationError(
+                        f"{key} must be a JSON array, got {raw[key]!r}"
+                    )
                 raw[key] = tuple(raw[key])
         try:
             return cls(**raw)
@@ -129,9 +142,12 @@ def generation_scale(p: OffspringParams, n: int) -> float:
     mu = p.mean
     if p.eta == p.q:
         return float(n * n)
-    if mu < 1.0:
-        return mu ** (-n)
-    return mu**n
+    try:
+        return mu ** (-n) if mu < 1.0 else mu**n
+    except OverflowError:
+        raise ValidationError(
+            f"the generation scale c_n at n={n} does not fit a double"
+        ) from None
 
 
 def target_generation_size(cfg: ExperimentConfig, n: int) -> int:
@@ -146,10 +162,14 @@ def target_generation_size(cfg: ExperimentConfig, n: int) -> int:
         return cfg.a_const
     c = generation_scale(cfg.params, n)
     if cfg.regime == "kesten":
-        return max(1, round(c / n))
-    if cfg.regime == "poisson":
-        return max(1, round(cfg.theta * c))
-    return max(1, round(n * c))
+        a = c / n
+    elif cfg.regime == "poisson":
+        a = cfg.theta * c
+    else:
+        a = n * c
+    if math.isinf(a):
+        raise ValidationError(f"the target size a_n at n={n} does not fit a double")
+    return max(1, round(a))
 
 
 # ---------------------------------------------------------------------------

@@ -291,18 +291,17 @@ def equivalence_suite() -> list[tuple[str, bool, str]]:
     detail = ""
     for height in range(4):
         for cap in range(4):
-            for exact in (False, True):
-                for root in (None, 0, 1, 2):
-                    got = sum(
-                        1 for _ in enumerate_trees(height, cap, exact, root)
+            for root in (None, 0, 1, 2):
+                got = sum(
+                    1 for _ in enumerate_trees(height, cap, root_degree=root)
+                )
+                want = count_trees(height, cap, root_degree=root)
+                if got != want:
+                    ok = False
+                    detail = (
+                        f"h={height} cap={cap} root={root}: "
+                        f"enumerated {got}, recurrence {want}"
                     )
-                    want = count_trees(height, cap, exact, root)
-                    if got != want:
-                        ok = False
-                        detail = (
-                            f"h={height} cap={cap} exact={exact} root={root}: "
-                            f"enumerated {got}, recurrence {want}"
-                        )
     check("tree-counts", ok, detail or "all shapes agree")
 
     # capped masses: DP totals vs summed per-tree families

@@ -88,19 +88,13 @@ class OrderedTree:
         return max(self._degrees)
 
     def parents(self) -> tuple[int, ...]:
-        """Preorder index of each node's parent (-1 for the root)."""
-        par = [-1]
-        stack = []  # (node index, children still owed)
-        if self._degrees[0] > 0:
-            stack.append([0, self._degrees[0]])
-        for i, d in enumerate(self._degrees[1:], start=1):
-            par.append(stack[-1][0])
-            stack[-1][1] -= 1
-            if d > 0:
-                stack.append([i, d])
-            else:
-                while stack and stack[-1][1] == 0:
-                    stack.pop()
+        """Preorder index of each node's parent (-1 for the root): the
+        latest earlier node one level up."""
+        latest = [-1] * (self.height + 2)  # latest[dep + 1]: last node at dep
+        par = []
+        for i, dep in enumerate(self._depths):
+            par.append(latest[dep])
+            latest[dep + 1] = i
         return tuple(par)
 
     # -- truncation maps -------------------------------------------------
@@ -227,108 +221,73 @@ def local_distance(t: OrderedTree, s: OrderedTree) -> float:
 MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 
 
-def _rooted(
-    height: int, degree_cap: int, d: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _rooted(height: int, degree_cap: int, d: int) -> Iterator[tuple[int, ...]]:
     """Degree tuples of height <= `height` with degrees <= degree_cap whose
-    root has degree d, paired with their exact heights: the root followed
-    by each product of d subtrees from the height-1 pool."""
+    root has degree d: the root followed by each product of d subtrees
+    from the height-1 pool."""
     if d == 0:
-        yield (0,), 0
+        yield (0,)
         return
     if height == 0:
         return
     below = _pool(height - 1, degree_cap)
     for combo in itertools.product(below, repeat=d):
-        degs: tuple[int, ...] = (d,)
-        hmax = 0
-        for sub, sh in combo:
-            degs = degs + sub
-            if sh > hmax:
-                hmax = sh
-        yield degs, hmax + 1
+        yield sum(combo, (d,))
 
 
 # Only the pools below an enumeration's height are ever asked for, and they
 # are small next to the top level, which enumerate_trees streams instead.
 @lru_cache(maxsize=32)
-def _pool(height: int, degree_cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _pool(height: int, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """All degree tuples of height <= `height` with degrees <= degree_cap,
-    paired with their exact heights, in root-degree order."""
+    in root-degree order."""
     return tuple(itertools.chain.from_iterable(
         _rooted(height, degree_cap, d) for d in range(degree_cap + 1)
     ))
 
 
 def count_trees(
-    height: int,
-    degree_cap: int,
-    exact_height: bool = False,
-    root_degree: int | None = None,
+    height: int, degree_cap: int, *, root_degree: int | None = None
 ) -> int:
     """Number of trees enumerate_trees would yield, by closed recurrence.
 
     Free root, height <= h:  N(h) = sum_{d=0}^{D} N(h-1)^d, N(0) = 1.
-    The filters are inclusion-exclusion on top of N. Exact integers.
+    Root degree pinned to d:  1 if d == 0, else N(h-1)^d (0 at h = 0 or
+    d > D). Exact integers.
     """
     if height < 0 or degree_cap < 0:
         raise ValidationError("height and degree_cap must be >= 0")
-
-    def upto(hh: int) -> int:
-        if hh < 0:
-            return 0
-        n = 1
-        for _ in range(hh):
-            n = sum(n**d for d in range(degree_cap + 1))
-        return n
-
-    if root_degree is None:
-        total = upto(height)
-        if exact_height:
-            total -= upto(height - 1)
-        return total
-    if root_degree > degree_cap:
+    if root_degree is not None and root_degree > degree_cap:
         return 0
     if root_degree == 0:
-        if exact_height:
-            return 1 if height == 0 else 0
         return 1
-    if height == 0:
-        return 0
-    total = upto(height - 1) ** root_degree
-    if exact_height:
-        total -= upto(height - 2) ** root_degree
-    return total
+    n = 1
+    for _ in range(height if root_degree is None else height - 1):
+        n = sum(n**d for d in range(degree_cap + 1))
+    if root_degree is None:
+        return n
+    return n**root_degree if height > 0 else 0
 
 
 def enumerate_trees(
     height: int,
     degree_cap: int,
-    exact_height: bool = False,
+    *,
     root_degree: int | None = None,
     max_trees: int = MAX_TREES,
 ) -> Iterator[OrderedTree]:
-    """Yield every tree of height <= `height` (or exactly, with the flag)
-    whose out-degrees are all <= degree_cap, optionally with the root
-    degree pinned. Raises ResourceError up front if either the yielded
-    count or the number of candidate shapes walked to produce it exceeds
-    max_trees; both counts are exact, so the guard never lies."""
-    n = count_trees(height, degree_cap, exact_height, root_degree)
+    """Yield every tree of height <= `height` whose out-degrees are all
+    <= degree_cap, optionally with the root degree pinned. Raises
+    ResourceError up front if the count, which is exact, exceeds
+    max_trees."""
+    n = count_trees(height, degree_cap, root_degree=root_degree)
     if n > max_trees:
         raise ResourceError(
             f"enumeration would produce {n} trees, above the cap of {max_trees}"
-        )
-    walked = count_trees(height, degree_cap, False, root_degree)
-    if walked > max_trees:
-        raise ResourceError(
-            f"enumeration would walk {walked} candidate trees, above the cap "
-            f"of {max_trees}"
         )
     if root_degree is not None and root_degree > degree_cap:
         return
     roots = range(degree_cap + 1) if root_degree is None else (root_degree,)
     for d in roots:
-        for degs, h in _rooted(height, degree_cap, d):
-            if exact_height and h != height:
-                continue
+        for degs in _rooted(height, degree_cap, d):
             yield OrderedTree(degs)

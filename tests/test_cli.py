@@ -387,6 +387,31 @@ def test_converge_missing_config(capsys):
     assert "no config file or bundled config" in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_grid": 5},
+        {"h": 1.5},
+        # c_n = mu^-n overflows a double at n = 2000
+        {
+            "eta": 0.3, "q": 0.5, "regime": "poisson", "n_grid": [2000],
+            "a_rule": "default",
+        },
+        # c_n fits a double at n = 1380, theta * c_n does not
+        {
+            "eta": 0.3, "q": 0.5, "regime": "poisson", "n_grid": [1380],
+            "a_rule": "default", "theta": 1e5,
+        },
+    ],
+    ids=["scalar-grid", "fractional-h", "scale-overflow", "target-overflow"],
+)
+def test_converge_bad_config_values_are_errors(tmp_path, capsys, overrides):
+    cfg = tiny_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "converge", "--config", cfg)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_bundled_configs_resolve():
     for name in ("kesten", "poisson", "condensation"):
         cfg = _resolve_config(name)

@@ -392,7 +392,7 @@ def test_poisson_weight_rejects_negative_theta():
 
 def test_poisson_law_assembles_ball_times_weight():
     theta = 0.7
-    for t in enumerate_trees(2, 3, exact_height=True):
+    for t in enumerate_trees(2, 3):
         k = t.z(2)
         want = gw_tree_log_prob(CRIT, t, 2) + log_poisson_weight(
             CRIT, 2, k, theta
@@ -596,6 +596,17 @@ def test_eta_one_conditioned_restricted_tables_build():
                 law = conditioned_restricted_family(PURE, 5, 3, h, k0, cap)
                 assert law.entries
                 assert math.exp(law.log_total()) <= 1.0
+
+
+def test_unrestricted_families_share_one_skeleton():
+    # the width weights vanish at width 0, so the plain law and the three
+    # width-weighted laws all read the one table of balls of height <= h
+    exactlaw._skeleton.cache_clear()
+    gw_family(SUB, 2, 3)
+    conditioned_family(SUB, 5, 3, 2, 3)
+    kesten_family(SUB, 2, 3)
+    poisson_family(SUB, 2, 0.7, 3)
+    assert exactlaw._skeleton.cache_info().misses == 1
 
 
 # -- the tabulated-law container --------------------------------------------

@@ -105,17 +105,19 @@ def test_local_distance_is_an_ultrametric_ball_match():
 @pytest.mark.parametrize("height", [0, 1, 2, 3])
 @pytest.mark.parametrize("cap", [0, 1, 2])
 def test_counts_match_enumeration(height, cap):
-    for exact in (False, True):
-        for root in (None, 0, 1, 2):
-            got = sum(1 for _ in enumerate_trees(height, cap, exact, root))
-            assert got == count_trees(height, cap, exact, root)
+    for root in (None, 0, 1, 2):
+        got = sum(1 for _ in enumerate_trees(height, cap, root_degree=root))
+        assert got == count_trees(height, cap, root_degree=root)
 
 
 def test_frozen_counts():
     assert count_trees(1, 3) == 4
-    assert count_trees(2, 2, exact_height=True) == 10
-    assert count_trees(2, 2, exact_height=True, root_degree=1) == 2
-    assert count_trees(2, 6, exact_height=True) == 137250
+    # shapes reaching depth h exactly, as differences of counts up to h
+    assert count_trees(2, 2) - count_trees(1, 2) == 10
+    assert (
+        count_trees(2, 2, root_degree=1) - count_trees(1, 2, root_degree=1) == 2
+    )
+    assert count_trees(2, 6) - count_trees(1, 6) == 137250
     # free enumeration of everything below height 3 at cap 2:
     # N(h) = sum_d N(h-1)^d gives 1, 3, 13, 183
     assert count_trees(3, 2) == 1 + 13 + 13**2
@@ -123,20 +125,23 @@ def test_frozen_counts():
 
 def test_enumeration_yields_unique_valid_trees():
     seen = set()
-    for t in enumerate_trees(2, 3, exact_height=True, root_degree=2):
-        assert t.height == 2
+    full_height = 0
+    for t in enumerate_trees(2, 3, root_degree=2):
+        assert t.height <= 2
+        full_height += t.height == 2
         assert t.root_degree == 2
         assert t.max_degree() <= 3
         code = t.encode()
         assert code not in seen
         seen.add(code)
-    assert len(seen) == count_trees(2, 3, exact_height=True, root_degree=2)
+    assert len(seen) == count_trees(2, 3, root_degree=2)
+    assert full_height == len(seen) - count_trees(1, 3, root_degree=2)
 
 
 def test_enumeration_guard_counts_walked_shapes():
     with pytest.raises(ResourceError):
         list(enumerate_trees(3, 12))
-    # the filtered yield is tiny but the walk would not be
+    # pinning the root degree still counts every shape below it
     with pytest.raises(ResourceError):
         list(enumerate_trees(3, 30, root_degree=1, max_trees=1000))
 
@@ -154,14 +159,21 @@ def test_restriction_properties_on_enumerated_trees():
 @pytest.mark.parametrize("height", [0, 1, 2, 3])
 @pytest.mark.parametrize("cap", [0, 1, 2])
 def test_free_root_is_the_root_degrees_in_order(height, cap):
-    for exact in (False, True):
-        free = [t.degrees for t in enumerate_trees(height, cap, exact)]
-        pinned = [
-            t.degrees
-            for d in range(cap + 1)
-            for t in enumerate_trees(height, cap, exact, root_degree=d)
-        ]
-        assert free == pinned
+    free = [t.degrees for t in enumerate_trees(height, cap)]
+    pinned = [
+        t.degrees
+        for d in range(cap + 1)
+        for t in enumerate_trees(height, cap, root_degree=d)
+    ]
+    assert free == pinned
+
+
+def test_root_degree_is_keyword_only():
+    # a positional third argument would otherwise read True as root degree 1
+    with pytest.raises(TypeError):
+        enumerate_trees(2, 3, True)
+    with pytest.raises(TypeError):
+        count_trees(2, 3, True)
 
 
 def test_only_pools_below_the_enumerated_height_are_cached():
