@@ -51,7 +51,9 @@ from .offspring import (
     log_condensation_offspring,
     log_gamma_ratio,
 )
-from .treekit import OrderedTree, enumerate_trees
+# enumerate_trees is not called here any more, but bench/tracing.py wraps
+# it under this module's name, so it stays bound
+from .treekit import OrderedTree, enumerate_trees, shape_products
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
@@ -595,21 +597,45 @@ def law_normalize_check(law: TruncatedLaw) -> float:
     return log_total
 
 
-@lru_cache(maxsize=64)
+# A single entry can hold millions of rows, and a rebuild is cheap next to
+# the laws built from it; the bundled sweeps and the benchmark workloads
+# use at most four distinct tables.
+@lru_cache(maxsize=8)
 def _skeleton(
     p: OffspringParams, h: int, degree_cap: int, root_degree: int | None
 ) -> tuple[tuple[str, float, int], ...]:
     """(code, log ball mass, bottom width) for each ball shape of height
     <= h, sorted by code. The expensive part of every family build, so
-    cached; the width weights drop the shapes that do not reach depth h."""
+    cached; the width weights drop the shapes that do not reach depth h.
+
+    A ball is its root over a product of entries of the height-(h-1) pool.
+    Each pool entry is annotated once with its code, the log_pmf terms of
+    its nodes above relative depth h-1 in preorder, and its width at that
+    depth; a row folds those, so its log mass adds the same terms in the
+    same order as a preorder walk over the whole ball would."""
+    pool, walk = shape_products(h, degree_cap, root_degree=root_degree)
+    if h == 0:
+        return tuple(("0", 0.0, 1) for _ in walk)
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
+    codes, terms, widths = [], [], []
+    for degs in pool:
+        t = OrderedTree(degs)
+        codes.append(t.encode())
+        terms.append(
+            tuple(pmf[d] for d, dep in zip(degs, t.depths) if dep < h - 1)
+        )
+        widths.append(t.z(h - 1))
     rows = []
-    for t in enumerate_trees(h, degree_cap, root_degree=root_degree):
-        lgw = 0.0
-        for d, dep in zip(t.degrees, t.depths):
-            if dep < h:
-                lgw += pmf[d]
-        rows.append((t.encode(), lgw, t.z(h)))
+    for d, combo in walk:
+        lgw = 0.0 + pmf[d]
+        for i in combo:
+            for term in terms[i]:
+                lgw += term
+        rows.append((
+            ",".join([str(d), *map(codes.__getitem__, combo)]),
+            lgw,
+            sum(map(widths.__getitem__, combo)),
+        ))
     rows.sort(key=lambda r: r[0])
     return tuple(rows)
 

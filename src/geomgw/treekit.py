@@ -222,28 +222,33 @@ MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 
 
 def _rooted(height: int, degree_cap: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Degree tuples of height <= `height` with degrees <= degree_cap whose
-    root has degree d: the root followed by each product of d subtrees
-    from the height-1 pool."""
+    """Trees of height <= `height` with degrees <= degree_cap whose root has
+    degree d, each as the indices of its d root subtrees in the height-1
+    pool: the one product loop every enumeration goes through."""
     if d == 0:
-        yield (0,)
-        return
+        return iter(((),))
     if height == 0:
-        return
-    below = _pool(height - 1, degree_cap)
-    for combo in itertools.product(below, repeat=d):
-        yield sum(combo, (d,))
+        return iter(())
+    return itertools.product(range(len(_pool(height - 1, degree_cap))), repeat=d)
+
+
+def _join(pool, d: int, combo: tuple[int, ...]) -> tuple[int, ...]:
+    """Degree tuple of the root of degree d over the pool entries `combo`."""
+    return sum(map(pool.__getitem__, combo), (d,))
 
 
 # Only the pools below an enumeration's height are ever asked for, and they
-# are small next to the top level, which enumerate_trees streams instead.
+# are small next to the top level, which shape_products streams instead.
 @lru_cache(maxsize=32)
 def _pool(height: int, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """All degree tuples of height <= `height` with degrees <= degree_cap,
     in root-degree order."""
-    return tuple(itertools.chain.from_iterable(
-        _rooted(height, degree_cap, d) for d in range(degree_cap + 1)
-    ))
+    below = _pool(height - 1, degree_cap) if height > 0 else ()
+    return tuple(
+        _join(below, d, combo)
+        for d in range(degree_cap + 1)
+        for combo in _rooted(height, degree_cap, d)
+    )
 
 
 def count_trees(
@@ -269,6 +274,33 @@ def count_trees(
     return n**root_degree if height > 0 else 0
 
 
+def shape_products(
+    height: int,
+    degree_cap: int,
+    *,
+    root_degree: int | None = None,
+    max_trees: int = MAX_TREES,
+) -> tuple[tuple[tuple[int, ...], ...], Iterator[tuple[int, tuple[int, ...]]]]:
+    """The trees enumerate_trees yields, in its order, without building them:
+    the height-1 pool and, per tree, its root degree d with the pool indices
+    of its d root subtrees. Raises ResourceError before touching any pool if
+    the count, which is exact, exceeds max_trees."""
+    n = count_trees(height, degree_cap, root_degree=root_degree)
+    if n > max_trees:
+        raise ResourceError(
+            f"enumeration would produce {n} trees, above the cap of {max_trees}"
+        )
+    pool = _pool(height - 1, degree_cap) if height > 0 else ()
+    if root_degree is None:
+        roots = range(degree_cap + 1)
+    else:
+        roots = (root_degree,) if root_degree <= degree_cap else ()
+    walk = (
+        (d, combo) for d in roots for combo in _rooted(height, degree_cap, d)
+    )
+    return pool, walk
+
+
 def enumerate_trees(
     height: int,
     degree_cap: int,
@@ -280,14 +312,8 @@ def enumerate_trees(
     <= degree_cap, optionally with the root degree pinned. Raises
     ResourceError up front if the count, which is exact, exceeds
     max_trees."""
-    n = count_trees(height, degree_cap, root_degree=root_degree)
-    if n > max_trees:
-        raise ResourceError(
-            f"enumeration would produce {n} trees, above the cap of {max_trees}"
-        )
-    if root_degree is not None and root_degree > degree_cap:
-        return
-    roots = range(degree_cap + 1) if root_degree is None else (root_degree,)
-    for d in roots:
-        for degs in _rooted(height, degree_cap, d):
-            yield OrderedTree(degs)
+    pool, walk = shape_products(
+        height, degree_cap, root_degree=root_degree, max_trees=max_trees
+    )
+    for d, combo in walk:
+        yield OrderedTree(_join(pool, d, combo))

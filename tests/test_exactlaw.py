@@ -1,7 +1,9 @@
 """Exact generation/forest pmfs, conditioning ratios, and the limit laws."""
 
+import functools
 import io
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from geomgw import (
     CertificationError,
     OffspringParams,
     OrderedTree,
+    ResourceError,
     TruncatedLaw,
     TruncationError,
     ValidationError,
@@ -607,6 +610,41 @@ def test_unrestricted_families_share_one_skeleton():
     kesten_family(SUB, 2, 3)
     poisson_family(SUB, 2, 0.7, 3)
     assert exactlaw._skeleton.cache_info().misses == 1
+
+
+def _reference_skeletons(params, h, cap, root_degree):
+    # the route _skeleton took before it folded pool annotations: build
+    # every tree, then walk it in preorder; one tree walk serves every
+    # parameter set
+    pmfs = [[p.log_pmf(d) for d in range(cap + 1)] for p in params]
+    tables = [[] for _ in params]
+    for t in enumerate_trees(h, cap, root_degree=root_degree):
+        code, k = t.encode(), t.z(h)
+        above = [d for d, dep in zip(t.degrees, t.depths) if dep < h]
+        for pmf, rows in zip(pmfs, tables):
+            # the preorder loop's sum: 0.0 plus each term, left to right
+            lgw = functools.reduce(operator.add, map(pmf.__getitem__, above), 0.0)
+            rows.append((code, lgw.hex(), k))
+    for rows in tables:
+        rows.sort(key=lambda r: r[0])
+    return tables
+
+
+@pytest.mark.parametrize("h,cap", [(0, 3), (1, 40), (2, 6), (3, 3), (4, 2)])
+def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap):
+    for root_degree in (None, 0, 1, 2, 5):
+        refs = _reference_skeletons(FIXTURES, h, cap, root_degree)
+        for p, ref in zip(FIXTURES, refs):
+            got = exactlaw._skeleton(p, h, cap, root_degree)
+            bits = [(code, lgw.hex(), k) for code, lgw, k in got]
+            assert bits == ref, (p, root_degree)
+
+
+def test_oversized_family_fails_before_any_walk():
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        gw_family(CRIT, 3, 12)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- the tabulated-law container --------------------------------------------

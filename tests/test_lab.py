@@ -13,8 +13,13 @@ from geomgw import (
     OffspringParams,
     TruncatedLaw,
     ValidationError,
+    condensation_family,
+    conditioned_family,
+    conditioned_restricted_family,
     generation_scale,
+    kesten_family,
     per_tree_gap,
+    poisson_family,
     run_regime,
     run_theta_continuity,
     target_generation_size,
@@ -190,6 +195,52 @@ def test_per_tree_gap_hand_value():
     assert per_tree_gap(l1, l2) == pytest.approx(0.3, rel=1e-12)
     empty = law_of({}, 1.0, h="1")
     assert per_tree_gap(empty, empty) == 0.0
+
+
+def _reference_tv_and_gap(l1, l2):
+    # the alignment tv_distance and per_tree_gap used before the merge: a
+    # fresh sort of the set union, summed by an explicit loop
+    tv = 0.0
+    gap = 0.0
+    for c in sorted(set(l1.entries) | set(l2.entries)):
+        diff = abs(
+            math.exp(l1.entries.get(c, -math.inf))
+            - math.exp(l2.entries.get(c, -math.inf))
+        )
+        tv += diff
+        gap = max(gap, diff)
+    return 0.5 * tv, gap
+
+
+def _bundled(name):
+    ref = importlib.resources.files("geomgw") / "configs" / f"{name}.json"
+    return ExperimentConfig.from_json(ref.read_text())
+
+
+def _table_pairs():
+    # merged skeleton blocks against one block, partly disjoint
+    yield (
+        conditioned_restricted_family(SUP, 6, 4, 2, 2, 5),
+        condensation_family(SUP, 2, 2, 5),
+    )
+    cfg = _bundled("kesten")
+    p = cfg.params
+    cond = conditioned_family(
+        p, 10, target_generation_size(cfg, 10), cfg.h, cfg.degree_cap
+    )
+    yield cond, kesten_family(p, cfg.h, cfg.degree_cap)
+    buf = io.StringIO()
+    poisson_family(CRIT, 2, 0.7, 4).write_csv(buf)
+    reread = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
+    yield reread, kesten_family(CRIT, 2, 4)
+
+
+def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
+    for l1, l2 in _table_pairs():
+        for a, b in ((l1, l2), (l2, l1)):
+            tv, gap = _reference_tv_and_gap(a, b)
+            assert tv_distance(a, b)[0].hex() == tv.hex()
+            assert per_tree_gap(a, b).hex() == gap.hex()
 
 
 # -- sweeps ------------------------------------------------------------------
