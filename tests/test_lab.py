@@ -17,6 +17,7 @@ from geomgw import (
     conditioned_family,
     conditioned_restricted_family,
     generation_scale,
+    gw_family,
     kesten_family,
     per_tree_gap,
     poisson_family,
@@ -229,10 +230,11 @@ def _table_pairs():
         p, 10, target_generation_size(cfg, 10), cfg.h, cfg.degree_cap
     )
     yield cond, kesten_family(p, cfg.h, cfg.degree_cap)
+    # the plain law also lists the balls that stop short of depth 2
     buf = io.StringIO()
     poisson_family(CRIT, 2, 0.7, 4).write_csv(buf)
     reread = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
-    yield reread, kesten_family(CRIT, 2, 4)
+    yield reread, gw_family(CRIT, 2, 4)
 
 
 def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
