@@ -53,7 +53,7 @@ from .offspring import (
 )
 # enumerate_trees is not called here any more, but bench/tracing.py wraps
 # it under this module's name, so it stays bound
-from .treekit import OrderedTree, enumerate_trees, shape_products
+from .treekit import OrderedTree, count_trees, enumerate_trees, fold_shapes
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
@@ -613,29 +613,30 @@ def _skeleton(
     its nodes above relative depth h-1 in preorder, and its width at that
     depth; a row folds those, so its log mass adds the same terms in the
     same order as a preorder walk over the whole ball would."""
-    pool, walk = shape_products(h, degree_cap, root_degree=root_degree)
     if h == 0:
-        return tuple(("0", 0.0, 1) for _ in walk)
+        # the lone root: no node above depth 0, one node at it
+        return (("0", 0.0, 1),) * count_trees(0, degree_cap, root_degree=root_degree)
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
-    codes, terms, widths = [], [], []
-    for degs in pool:
-        t = OrderedTree(degs)
-        codes.append(t.encode())
-        terms.append(
-            tuple(pmf[d] for d, dep in zip(degs, t.depths) if dep < h - 1)
+
+    def annotate(degs, depths):
+        return (
+            ",".join(map(str, degs)),
+            tuple(pmf[d] for d, dep in zip(degs, depths) if dep < h - 1),
+            depths.count(h - 1),
         )
-        widths.append(t.z(h - 1))
-    rows = []
-    for d, combo in walk:
-        lgw = 0.0 + pmf[d]
-        for i in combo:
-            for term in terms[i]:
-                lgw += term
-        rows.append((
-            ",".join([str(d), *map(codes.__getitem__, combo)]),
-            lgw,
-            sum(map(widths.__getitem__, combo)),
-        ))
+
+    def step(row, sub):
+        code, lgw, k = row
+        sub_code, terms, width = sub
+        for term in terms:
+            lgw += term
+        return code + "," + sub_code, lgw, k + width
+
+    blocks = fold_shapes(
+        h, degree_cap, annotate, lambda d: (str(d), 0.0 + pmf[d], 0), step,
+        root_degree=root_degree,
+    )
+    rows = [row for block in blocks for row in block]
     rows.sort(key=lambda r: r[0])
     return tuple(rows)
 

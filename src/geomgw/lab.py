@@ -23,8 +23,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import reduce
-from itertools import repeat
+from functools import lru_cache, reduce
+from itertools import islice, repeat
 from typing import Iterable, TextIO
 
 from .errors import GeomGWError, ValidationError
@@ -204,10 +204,14 @@ def per_tree_gap(l1: TruncatedLaw, l2: TruncatedLaw) -> float:
 
 def _aligned(l1: TruncatedLaw, l2: TruncatedLaw):
     """The two laws' probabilities over the union of their codes, in sorted
-    code order. Tables come out of exactlaw sorted, so the sort only merges
-    l1's codes with the few runs of l2's codes that l1 lacks."""
+    code order. Two tables that list the same codes in the same sorted
+    order are read in place. Otherwise the codes are merged: tables come
+    out of exactlaw sorted, so the sort only merges l1's codes with the
+    few runs of l2's codes that l1 lacks."""
     e1, e2 = l1.entries, l2.entries
     codes = list(e1)
+    if codes == list(e2) and all(map(operator.lt, codes, islice(codes, 1, None))):
+        return (map(math.exp, e.values()) for e in (e1, e2))
     codes.extend(c for c in e2 if c not in e1)
     codes.sort()
     return (
@@ -239,6 +243,15 @@ class ThetaRow:
     runtime_ms: float
 
 
+# The limit laws do not depend on n, so each worker builds them once. Two
+# entries hold the theta rows' pair; the family is part of the key, looked
+# up by its name in this module at each call, so a wrapped or replaced
+# family is a new key. The cached laws are only read.
+@lru_cache(maxsize=2)
+def _limit_law(family, *args) -> TruncatedLaw:
+    return family(*args)
+
+
 def _regime_row(task: tuple[ExperimentConfig, int]) -> ConvergenceRow:
     cfg, n = task
     start = time.perf_counter()
@@ -249,13 +262,17 @@ def _regime_row(task: tuple[ExperimentConfig, int]) -> ConvergenceRow:
             cond = conditioned_restricted_family(
                 p, n, a, cfg.h, cfg.k0, cfg.degree_cap
             )
-            limit = condensation_family(p, cfg.h, cfg.k0, cfg.degree_cap)
+            limit = _limit_law(
+                condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap
+            )
         else:
             cond = conditioned_family(p, n, a, cfg.h, cfg.degree_cap)
             if cfg.regime == "kesten":
-                limit = kesten_family(p, cfg.h, cfg.degree_cap)
+                limit = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
             else:
-                limit = poisson_family(p, cfg.h, cfg.theta, cfg.degree_cap)
+                limit = _limit_law(
+                    poisson_family, p, cfg.h, cfg.theta, cfg.degree_cap
+                )
         tv, bound = tv_distance(cond, limit)
     except GeomGWError as exc:
         raise type(exc)(f"grid point n={n}: {exc}") from None
@@ -269,11 +286,11 @@ def _theta_row(task: tuple[ExperimentConfig, float]) -> ThetaRow:
     p = cfg.params
     try:
         skinny = poisson_family(p, cfg.h, theta, cfg.degree_cap)
-        kesten = kesten_family(p, cfg.h, cfg.degree_cap)
+        kesten = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
         skinny_view = poisson_restricted_family(
             p, cfg.h, cfg.k0, theta, cfg.degree_cap
         )
-        fat = condensation_family(p, cfg.h, cfg.k0, cfg.degree_cap)
+        fat = _limit_law(condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap)
         gap_k = per_tree_gap(skinny, kesten)
         tv_k, _ = tv_distance(skinny, kesten)
         gap_c = per_tree_gap(skinny_view, fat)

@@ -15,6 +15,7 @@ the first of which has one child.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +56,18 @@ class OrderedTree:
         self._degrees = degs
         self._depths = tuple(depths)
         self._hash = None
+
+    @classmethod
+    def _trusted(
+        cls, degrees: tuple[int, ...], depths: tuple[int, ...]
+    ) -> "OrderedTree":
+        """A tree from a degree tuple and its depths that are valid by
+        construction, as enumeration builds them: no validation walk."""
+        t = cls.__new__(cls)
+        t._degrees = degrees
+        t._depths = depths
+        t._hash = None
+        return t
 
     # -- basic accessors -------------------------------------------------
 
@@ -221,34 +234,79 @@ def local_distance(t: OrderedTree, s: OrderedTree) -> float:
 MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 
 
-def _rooted(height: int, degree_cap: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Trees of height <= `height` with degrees <= degree_cap whose root has
-    degree d, each as the indices of its d root subtrees in the height-1
-    pool: the one product loop every enumeration goes through."""
-    if d == 0:
-        return iter(((),))
-    if height == 0:
-        return iter(())
-    return itertools.product(range(len(_pool(height - 1, degree_cap))), repeat=d)
+def _fold(items, d: int, acc, step) -> Iterator[list]:
+    """`acc` folded by `step` over the slots of every d-fold product of
+    `items`, left to right, in itertools.product order: the one product
+    loop every enumeration goes through. The walk is depth-first and
+    rows that share a prefix share its partial fold, so each row pays
+    only for its last slot. Yields one list per (d-1)-slot prefix."""
+    if d <= 1:
+        yield [step(acc, x) for x in items] if d else [acc]
+        return
+    for x in items:
+        yield from _fold(items, d - 1, step(acc, x), step)
 
 
-def _join(pool, d: int, combo: tuple[int, ...]) -> tuple[int, ...]:
-    """Degree tuple of the root of degree d over the pool entries `combo`."""
-    return sum(map(pool.__getitem__, combo), (d,))
+def fold_shapes(
+    height: int,
+    degree_cap: int,
+    annotate,
+    start,
+    step,
+    *,
+    root_degree: int | None = None,
+    max_trees: int = MAX_TREES,
+) -> Iterator[list]:
+    """Every tree enumerate_trees would yield, in its order, folded without
+    building it. Each (degrees, depths) entry of the height-1 pool is
+    annotated once by `annotate`; a tree whose root has degree d over the
+    pool entries s1..sd is step(...step(start(d), annotate(s1))...,
+    annotate(sd)). Yields lists of folds. Raises ResourceError before
+    touching any pool if the count, which is exact, exceeds max_trees."""
+    n = count_trees(height, degree_cap, root_degree=root_degree)
+    if n > max_trees:
+        raise ResourceError(
+            f"enumeration would produce {n} trees, above the cap of {max_trees}"
+        )
+    if root_degree is None:
+        roots = range(degree_cap + 1)
+    else:
+        roots = (root_degree,) if root_degree <= degree_cap else ()
+    pool = _pool(height - 1, degree_cap) if height > 0 else ()
+    items = [annotate(*entry) for entry in pool]
+    for d in roots:
+        yield from _fold(items, d, start(d), step)
+
+
+def _hang(degrees: tuple[int, ...], depths: tuple[int, ...]):
+    """A pool entry as a root subtree: its depths one level down."""
+    return degrees, tuple(dep + 1 for dep in depths)
+
+
+def _plant(d: int):
+    return (d,), (0,)
+
+
+def _graft(tree, sub):
+    return tree[0] + sub[0], tree[1] + sub[1]
+
+
+def _trees(height: int, degree_cap: int, **shape) -> Iterator[list]:
+    """(degrees, depths) of every tree enumerate_trees would yield."""
+    return fold_shapes(height, degree_cap, _hang, _plant, _graft, **shape)
 
 
 # Only the pools below an enumeration's height are ever asked for, and they
-# are small next to the top level, which shape_products streams instead.
+# are small next to the top level, which fold_shapes streams instead.
 @lru_cache(maxsize=32)
-def _pool(height: int, degree_cap: int) -> tuple[tuple[int, ...], ...]:
-    """All degree tuples of height <= `height` with degrees <= degree_cap,
-    in root-degree order."""
-    below = _pool(height - 1, degree_cap) if height > 0 else ()
-    return tuple(
-        _join(below, d, combo)
-        for d in range(degree_cap + 1)
-        for combo in _rooted(height, degree_cap, d)
-    )
+def _pool(
+    height: int, degree_cap: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(degrees, depths) of every tree of height <= `height` with degrees
+    <= degree_cap, in root-degree order. Uncapped: a pool is smaller than
+    the enumeration that asks for it, which has passed its own cap."""
+    blocks = _trees(height, degree_cap, max_trees=math.inf)
+    return tuple(itertools.chain.from_iterable(blocks))
 
 
 def count_trees(
@@ -274,33 +332,6 @@ def count_trees(
     return n**root_degree if height > 0 else 0
 
 
-def shape_products(
-    height: int,
-    degree_cap: int,
-    *,
-    root_degree: int | None = None,
-    max_trees: int = MAX_TREES,
-) -> tuple[tuple[tuple[int, ...], ...], Iterator[tuple[int, tuple[int, ...]]]]:
-    """The trees enumerate_trees yields, in its order, without building them:
-    the height-1 pool and, per tree, its root degree d with the pool indices
-    of its d root subtrees. Raises ResourceError before touching any pool if
-    the count, which is exact, exceeds max_trees."""
-    n = count_trees(height, degree_cap, root_degree=root_degree)
-    if n > max_trees:
-        raise ResourceError(
-            f"enumeration would produce {n} trees, above the cap of {max_trees}"
-        )
-    pool = _pool(height - 1, degree_cap) if height > 0 else ()
-    if root_degree is None:
-        roots = range(degree_cap + 1)
-    else:
-        roots = (root_degree,) if root_degree <= degree_cap else ()
-    walk = (
-        (d, combo) for d in roots for combo in _rooted(height, degree_cap, d)
-    )
-    return pool, walk
-
-
 def enumerate_trees(
     height: int,
     degree_cap: int,
@@ -312,8 +343,8 @@ def enumerate_trees(
     <= degree_cap, optionally with the root degree pinned. Raises
     ResourceError up front if the count, which is exact, exceeds
     max_trees."""
-    pool, walk = shape_products(
+    for block in _trees(
         height, degree_cap, root_degree=root_degree, max_trees=max_trees
-    )
-    for d, combo in walk:
-        yield OrderedTree(_join(pool, d, combo))
+    ):
+        for degrees, depths in block:
+            yield OrderedTree._trusted(degrees, depths)

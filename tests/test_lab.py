@@ -30,6 +30,7 @@ from geomgw import (
     write_svg_chart,
     write_theta_csv,
 )
+from geomgw import lab
 from geomgw.lab import REGIME_CSV_COLUMNS, THETA_CSV_COLUMNS
 
 CRIT = OffspringParams(0.5, 0.5)
@@ -235,6 +236,14 @@ def _table_pairs():
     poisson_family(CRIT, 2, 0.7, 4).write_csv(buf)
     reread = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
     yield reread, gw_family(CRIT, 2, 4)
+    # one shuffled code order shared by both tables: the in-place read
+    # would sum in that order, so these must take the merge
+    order = list(kesten_family(CRIT, 2, 4).entries)
+    random.Random(7).shuffle(order)
+    yield tuple(
+        TruncatedLaw({c: law.entries[c] for c in order}, law.log_residual, law.meta)
+        for law in (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
+    )
 
 
 def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
@@ -246,6 +255,34 @@ def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
 
 
 # -- sweeps ------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, family):
+        def counted(*args):
+            calls[name] += 1
+            return family(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(lab, name, counting(name, getattr(lab, name)))
+    return calls
+
+
+def test_regime_rows_build_the_limit_law_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "kesten_family")
+    rows = run_regime(small_cfg(h=2), workers=1)
+    assert len(rows) == 3
+    assert calls == {"kesten_family": 1}
+
+
+def test_theta_rows_build_each_boundary_law_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "kesten_family", "condensation_family")
+    rows = run_theta_continuity(small_cfg(h=2, theta_grid=(1e-2, 1.0, 1e2)), workers=1)
+    assert len(rows) == 3
+    assert calls == {"kesten_family": 1, "condensation_family": 1}
 
 
 def strip_runtime(rows):

@@ -1,5 +1,7 @@
 """Ordered-tree container, codes, truncations, and exhaustive enumeration."""
 
+import itertools
+
 import pytest
 
 from geomgw import treekit
@@ -186,3 +188,20 @@ def test_only_pools_below_the_enumerated_height_are_cached():
     assert treekit._pool.cache_info().misses == misses
     treekit._pool(2, 3)
     assert treekit._pool.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_enumeration_is_the_product_over_the_pool_in_order(height, cap):
+    pool = [degs for degs, _ in treekit._pool(height - 1, cap)] if height else []
+    for root in (None, 0, 1, 2, 5):
+        roots = range(cap + 1) if root is None else [root] * (root <= cap)
+        ref = (
+            sum(map(pool.__getitem__, combo), (d,))
+            for d in roots
+            for combo in itertools.product(range(len(pool)), repeat=d)
+        )
+        got = enumerate_trees(height, cap, root_degree=root)
+        for t, degrees in itertools.zip_longest(got, ref):
+            assert t.degrees == degrees
+            assert t.depths == OrderedTree(degrees).depths
