@@ -238,11 +238,12 @@ def _table_pairs():
     yield reread, gw_family(CRIT, 2, 4)
     # one shuffled code order shared by both tables: the in-place read
     # would sum in that order, so these must take the merge
-    order = list(kesten_family(CRIT, 2, 4).entries)
+    laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
+    order = list(laws[0].entries)
     random.Random(7).shuffle(order)
     yield tuple(
         TruncatedLaw({c: law.entries[c] for c in order}, law.log_residual, law.meta)
-        for law in (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
+        for law in laws
     )
 
 
@@ -280,7 +281,8 @@ def test_regime_rows_build_the_limit_law_once(monkeypatch):
 
 def test_theta_rows_build_each_boundary_law_once(monkeypatch):
     calls = _count_calls(monkeypatch, "kesten_family", "condensation_family")
-    rows = run_theta_continuity(small_cfg(h=2, theta_grid=(1e-2, 1.0, 1e2)), workers=1)
+    cfg = small_cfg(h=2, theta_grid=(1e-2, 1.0, 1e2))
+    rows = run_theta_continuity(cfg, workers=1)
     assert len(rows) == 3
     assert calls == {"kesten_family": 1, "condensation_family": 1}
 
