@@ -59,7 +59,6 @@ from .offspring import (
     iterate,
     log_condensation_offspring,
     log_gamma_ratio,
-    log_size_biased,
     survivor_offspring_param,
 )
 from .rng import RandomSource
@@ -72,8 +71,7 @@ from .sampler import (
     sample_gw,
     sample_kesten,
     sample_poisson_tree,
-    typed_tree_from_strings,
 )
-from .treekit import OrderedTree, count_trees, enumerate_trees, local_distance
+from .treekit import OrderedTree, count_trees, enumerate_trees
 
 __version__ = "0.1.0"

@@ -290,6 +290,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except OSError as exc:
+        # a path that cannot be opened: a missing directory, a directory
+        # named as a file, no permission
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -71,16 +71,7 @@ def log_generation_pmf(p: OffspringParams, n: int, a: int) -> float:
     function: mass (gamma_n - kappa)(gamma_n - 1) gamma_n^-(a+1) at a >= 1
     and kappa / gamma_n at a = 0. Generation 0 is the point mass at 1.
     """
-    if n < 0 or a < 0:
-        raise ValidationError("generation index and size must be >= 0")
-    if n == 0:
-        return 0.0 if a == 1 else LOG_ZERO
-    it = iterate(p, n)
-    if a == 0:
-        if p.kappa == 0.0:
-            return LOG_ZERO
-        return math.log(p.kappa) - it.log_gamma
-    return it.log_gap_product - (a + 1) * it.log_gamma
+    return log_forest_pmf(p, 1, n, a)
 
 
 def log_forest_pmf(p: OffspringParams, k: int, n: int, a: int) -> float:
@@ -298,6 +289,19 @@ def _log_condensation_weight(p: OffspringParams, h: int, k: int) -> float:
     return _log_fat_constant(p) + k * iterate(p, h).log_gamma
 
 
+def _check_fat_ball(k0: int, t: OrderedTree, h: int) -> None:
+    """The input check both condensation formulas share: t must be an
+    (h, k0)-ball of the fat tree, with h >= 1 and root degree k0 >= 1."""
+    if k0 < 1:
+        raise ValidationError("the root keeps at least one subtree")
+    if t.root_degree != k0:
+        raise ValidationError(
+            f"ball of the fat tree has root degree {k0}, got {t.root_degree}"
+        )
+    if h < 1:
+        raise ValidationError("radius must be >= 1 for the fat limit")
+
+
 def condensation_tree_law(
     p: OffspringParams, k0: int, t: OrderedTree, h: int
 ) -> float:
@@ -307,14 +311,7 @@ def condensation_tree_law(
     is the radius-h ball keeping only the first k0 root subtrees; t must
     have root degree exactly k0.
     """
-    if k0 < 1:
-        raise ValidationError("the root keeps at least one subtree")
-    if t.root_degree != k0:
-        raise ValidationError(
-            f"ball of the fat tree has root degree {k0}, got {t.root_degree}"
-        )
-    if h < 1:
-        raise ValidationError("radius must be >= 1 for the fat limit")
+    _check_fat_ball(k0, t, h)
     return gw_tree_log_prob(p, t, h) + _log_condensation_weight(p, h, t.z(h))
 
 
@@ -324,14 +321,7 @@ def condensation_tree_law_product(
     """Same law as condensation_tree_law by an unrelated route: product of
     the depth-tilted offspring masses over non-root nodes. The two are
     kept as separate code paths and the tests hold them together."""
-    if k0 < 1:
-        raise ValidationError("the root keeps at least one subtree")
-    if t.root_degree != k0:
-        raise ValidationError(
-            f"ball of the fat tree has root degree {k0}, got {t.root_degree}"
-        )
-    if h < 1:
-        raise ValidationError("radius must be >= 1 for the fat limit")
+    _check_fat_ball(k0, t, h)
     if not t.is_ball(h):
         raise ValidationError("tree is not its own radius-h ball")
     total = 0.0

@@ -21,14 +21,13 @@ gamma > 1 > kappa >= 0, and at criticality kappa = 1.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ValidationError
-from .logspace import LOG_ZERO, log_binomial
+from .logspace import LOG_ZERO
 
 
 @dataclass(frozen=True)
@@ -106,21 +105,6 @@ class OffspringParams:
         fixed point, the closed form does not)."""
         den = y * (1.0 - self.q) - (1.0 - self.q - self.eta)
         return (y - (1.0 - self.eta)) / den
-
-    def to_json(self) -> str:
-        return json.dumps({"eta": self.eta, "q": self.q})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OffspringParams":
-        """Parse {"eta": ..., "q": ...}; any derived fields present in the
-        payload are ignored and recomputed."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad offspring JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "eta" not in obj or "q" not in obj:
-            raise ValidationError("offspring JSON must carry 'eta' and 'q'")
-        return cls(eta=obj["eta"], q=obj["q"])
 
 
 @dataclass(frozen=True)
@@ -243,28 +227,6 @@ def extinction_params(p: OffspringParams) -> ExtinctionParams:
         law=OffspringParams(eta=p.q, q=p.eta),
         mean=p.q / p.eta,
         extinction_prob=p.kappa,
-    )
-
-
-def log_size_biased(p: OffspringParams, k: int, n: int) -> float:
-    """log of the k-th order size-biased pmf at n.
-
-    The bias applies to the extinction-conditioned offspring law, whose
-    geometric parameter is qh = max(q, eta), so it collapses to
-    C(n, k) qh^(k+1) (1-qh)^(n-k) on n >= k. (Equivalently
-    n!/(n-k)! p(n) normalized by the k-th factorial moment; the closed
-    form is what the samplers invert.) Below criticality qh = q and the
-    bias is of p itself.
-    """
-    if k < 1:
-        raise ValidationError(f"size-bias order must be >= 1, got {k}")
-    if n < k:
-        return LOG_ZERO
-    qh = max(p.q, p.eta)
-    return (
-        log_binomial(n, k)
-        + (k + 1) * math.log(qh)
-        + (n - k) * math.log1p(-qh)
     )
 
 

@@ -84,11 +84,6 @@ class TypedTree:
         return self.flags
 
 
-def typed_tree_from_strings(code: str, flags: str) -> TypedTree:
-    """Rebuild a TypedTree from OrderedTree.encode() plus its flag column."""
-    return TypedTree(OrderedTree.decode(code), flags)
-
-
 # ---------------------------------------------------------------------------
 # plain trees and the conditioned bridge
 

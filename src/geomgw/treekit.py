@@ -97,9 +97,6 @@ class OrderedTree:
             raise ValidationError(f"depth must be >= 0, got {depth}")
         return sum(1 for d in self._depths if d == depth)
 
-    def max_degree(self) -> int:
-        return max(self._degrees)
-
     def parents(self) -> tuple[int, ...]:
         """Preorder index of each node's parent (-1 for the root): the
         latest earlier node one level up."""
@@ -191,14 +188,6 @@ class OrderedTree:
                 stack.append((m + 1, base + j))
         return cls(out)
 
-    def level_degrees(self) -> list[list[int]]:
-        """Inverse of from_level_degrees."""
-        H = self.height
-        out: list[list[int]] = [[] for _ in range(H + 1)]
-        for d, dep in zip(self._degrees, self._depths):
-            out[dep].append(d)
-        return out
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -213,20 +202,6 @@ class OrderedTree:
 
     def __repr__(self) -> str:
         return f"OrderedTree({self.encode()!r})"
-
-
-def local_distance(t: OrderedTree, s: OrderedTree) -> float:
-    """2^-(largest radius m with restrict_k(m, m) images equal), 0 if t == s.
-
-    This is the ultrametric the convergence statements are phrased in.
-    The radius-0 images always coincide, so the distance is at most 1.
-    """
-    if t == s:
-        return 0.0
-    m = 1
-    while t.restrict_k(m, m) == s.restrict_k(m, m):
-        m += 1
-    return 2.0 ** (-(m - 1))
 
 
 # -- enumeration ---------------------------------------------------------

@@ -387,6 +387,27 @@ def test_converge_missing_config(capsys):
     assert "no config file or bundled config" in err
 
 
+@pytest.mark.parametrize("case", ["law-out", "converge-svg", "config-dir"])
+def test_unopenable_paths_are_errors(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    out_csv = tmp_path / "curve.csv"
+    argv = {
+        "law-out": (*KESTEN_LAW_ARGS, "--out", str(missing / "x.csv")),
+        "converge-svg": (
+            "converge", "--config", tiny_config(tmp_path), "--out",
+            str(out_csv), "--svg", str(missing / "k.svg"),
+        ),
+        "config-dir": ("converge", "--config", str(tmp_path)),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    if case == "converge-svg":
+        # the sweep wrote its CSV before the chart path failed
+        assert len(out_csv.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -447,11 +447,15 @@ def test_condensation_rejects_wrong_root_degree():
     law = condensation_family(CRIT, 2, 2, 4)
     assert "1,1,0" not in law.entries
     # a ball whose root keeps the wrong subtree count is a contract error,
-    # not a zero-probability event
-    with pytest.raises(ValidationError):
-        condensation_tree_law(CRIT, 2, OrderedTree((1, 0)), 1)
-    with pytest.raises(ValidationError):
-        condensation_tree_law_product(CRIT, 2, OrderedTree((1, 0)), 1)
+    # not a zero-probability event; so are k0 = 0 and radius 0, and both
+    # formulas reject all three
+    for law_of in (condensation_tree_law, condensation_tree_law_product):
+        with pytest.raises(ValidationError, match="root degree 2, got 1"):
+            law_of(CRIT, 2, OrderedTree((1, 0)), 1)
+        with pytest.raises(ValidationError, match="at least one subtree"):
+            law_of(CRIT, 0, OrderedTree((0,)), 1)
+        with pytest.raises(ValidationError, match="radius must be >= 1"):
+            law_of(CRIT, 2, OrderedTree((2, 0, 0)), 0)
 
 
 # -- restricted families ----------------------------------------------------

@@ -1,6 +1,5 @@
 """Offspring-law parameterization, pole iterates, and derived laws."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from geomgw import (
     iterate,
     log_condensation_offspring,
     log_gamma_ratio,
-    log_size_biased,
     survivor_offspring_param,
 )
 
@@ -101,13 +99,6 @@ def test_from_poles_rejects_out_of_range():
         OffspringParams.from_poles(kappa=2.0, gamma=1.4)
     with pytest.raises(ValidationError):
         OffspringParams.from_poles(kappa=0.5, gamma=0.9)
-
-
-def test_json_round_trip():
-    for p in FIXTURES:
-        blob = p.to_json()
-        assert json.loads(blob) == {"eta": p.eta, "q": p.q}
-        assert OffspringParams.from_json(blob) == p
 
 
 def test_generating_function_values():
@@ -193,35 +184,6 @@ def test_extinction_params():
     # the swapped law's q is the larger of the two original parameters
     for p in FIXTURES:
         assert extinction_params(p).law.q == max(p.eta, p.q)
-
-
-def test_size_biased_frozen_and_normalized():
-    assert math.exp(log_size_biased(CRIT, 1, 1)) == pytest.approx(0.25, rel=1e-14)
-    for p in FIXTURES:
-        qh = extinction_params(p).law.q
-        for s in (1, 2, 3):
-            mass = 0.0
-            mean = 0.0
-            for n in range(s, s + 4000):
-                val = math.exp(log_size_biased(p, s, n))
-                mass += val
-                mean += n * val
-            assert mass == pytest.approx(1.0, abs=1e-12)
-            assert mean == pytest.approx(s + (s + 1) * (1 - qh) / qh, rel=1e-9)
-            assert log_size_biased(p, s, s - 1) == -math.inf
-
-
-def test_size_biased_matches_binomial_form():
-    for p in FIXTURES:
-        qh = extinction_params(p).law.q
-        for s in (1, 3):
-            for n in range(s, s + 12):
-                want = (
-                    math.comb(n, s) * qh ** (s + 1) * (1 - qh) ** (n - s)
-                )
-                assert math.exp(log_size_biased(p, s, n)) == pytest.approx(
-                    want, rel=1e-12
-                )
 
 
 def test_immigration_rate_frozen():

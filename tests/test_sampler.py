@@ -32,7 +32,6 @@ from geomgw import (
     sample_gw,
     sample_kesten,
     sample_poisson_tree,
-    typed_tree_from_strings,
 )
 
 CRIT = OffspringParams(0.5, 0.5)
@@ -405,7 +404,7 @@ def test_condensation_validation():
 def test_flag_string_round_trip():
     for seed in range(20):
         tt = sample_poisson_tree(CRIT, 0.8, RandomSource(seed), 3)
-        back = typed_tree_from_strings(tt.tree.encode(), tt.flag_string())
+        back = TypedTree(OrderedTree.decode(tt.tree.encode()), tt.flag_string())
         assert back == tt
 
 
@@ -417,10 +416,10 @@ def test_flag_string_aligns_with_preorder():
 
 def test_typed_tree_from_strings_length_check():
     with pytest.raises(ValidationError):
-        typed_tree_from_strings("2,0,0", "10")
+        TypedTree(OrderedTree.decode("2,0,0"), "10")
     # the right length is not enough: every character is a 0/1 flag
     with pytest.raises(ValidationError):
-        typed_tree_from_strings("2,0,0", "1x1")
+        TypedTree(OrderedTree.decode("2,0,0"), "1x1")
 
 
 def test_spine_audit_rejects_wide_survival():

@@ -11,7 +11,6 @@ from geomgw import (
     ValidationError,
     count_trees,
     enumerate_trees,
-    local_distance,
 )
 
 CHAIN = OrderedTree((1, 1, 0))          # root - child - grandchild
@@ -27,7 +26,7 @@ def test_shape_descriptors():
     assert CHAIN.size == 3
     assert CHAIN.height == 2
     assert CHAIN.root_degree == 1
-    assert CHAIN.max_degree() == 1
+    assert max(CHAIN.degrees) == 1
     assert MIXED.size == 4
     assert MIXED.height == 2
     assert MIXED.root_degree == 2
@@ -82,26 +81,9 @@ def test_restrict_k_keeps_leading_root_subtrees():
     assert bushy.restrict_k(1, 2) == CHERRY
 
 
-def test_level_degrees_round_trip():
-    for t in small_trees():
-        assert OrderedTree.from_level_degrees(t.level_degrees()) == t
-
-
 def test_from_level_degrees_rejects_inconsistent_widths():
     with pytest.raises(ValidationError):
         OrderedTree.from_level_degrees([[2], [0]])
-
-
-def test_local_distance_is_an_ultrametric_ball_match():
-    assert local_distance(MIXED, MIXED) == 0.0
-    # equal radius-1 views, different radius-2 views
-    assert local_distance(MIXED, CHERRY) == 0.5
-    # the radius-1 view caps the root degree at 1, so a chain and a cherry
-    # also agree there and split only at radius 2
-    assert local_distance(CHAIN, CHERRY) == 0.5
-    leaf = OrderedTree((0,))
-    assert local_distance(leaf, CHAIN) == 1.0
-    assert local_distance(OrderedTree((1, 0)), CHAIN) == 0.5
 
 
 @pytest.mark.parametrize("height", [0, 1, 2, 3])
@@ -132,7 +114,7 @@ def test_enumeration_yields_unique_valid_trees():
         assert t.height <= 2
         full_height += t.height == 2
         assert t.root_degree == 2
-        assert t.max_degree() <= 3
+        assert max(t.degrees) <= 3
         code = t.encode()
         assert code not in seen
         seen.add(code)
