@@ -61,13 +61,19 @@ from .sampler import (
     sample_poisson_tree,
 )
 
-LAW_REGIMES = ("gw", "conditioned", "kesten", "poisson", "condensation")
+# the options each regime of `law` and `sample` needs beyond the shared ones
+REGIME_NEEDS = {"gw": (), "conditioned": ("n", "a"), "kesten": (),
+                "poisson": ("theta",), "condensation": ("k0",)}
+LAW_REGIMES = tuple(REGIME_NEEDS)
 
 
-def _need(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
+def _params(args: argparse.Namespace) -> OffspringParams:
+    """The offspring law, once the regime's own options are all given."""
+    p = OffspringParams(args.eta, args.q)
+    for name in REGIME_NEEDS[args.regime]:
+        if getattr(args, name) is None:
             raise ValidationError(f"--{name} is required here")
+    return p
 
 
 @contextlib.contextmanager
@@ -80,14 +86,13 @@ def _open_out(path: str | None):
 
 
 def _build_law(args: argparse.Namespace) -> TruncatedLaw:
-    p = OffspringParams(args.eta, args.q)
+    p = _params(args)
     h, cap, k0 = args.height, args.degree_cap, args.k0
     if args.regime == "gw":
         if k0 is not None:
             raise ValidationError("the plain law has no restricted view")
         return gw_family(p, h, cap)
     if args.regime == "conditioned":
-        _need(args, "n", "a")
         if k0 is None:
             return conditioned_family(p, args.n, args.a, h, cap)
         return conditioned_restricted_family(p, args.n, args.a, h, k0, cap)
@@ -96,11 +101,9 @@ def _build_law(args: argparse.Namespace) -> TruncatedLaw:
             return kesten_family(p, h, cap)
         return kesten_restricted_family(p, h, k0, cap)
     if args.regime == "poisson":
-        _need(args, "theta")
         if k0 is None:
             return poisson_family(p, h, args.theta, cap)
         return poisson_restricted_family(p, h, k0, args.theta, cap)
-    _need(args, "k0")
     return condensation_family(p, h, k0, cap)
 
 
@@ -122,19 +125,16 @@ def _cmd_law(args: argparse.Namespace) -> int:
 
 def _build_sampler(args: argparse.Namespace):
     """The sampler behind `geomgw sample`, as a function of the draw's rng."""
-    p = OffspringParams(args.eta, args.q)
+    p = _params(args)
     h = args.height
     if args.regime == "gw":
         return lambda rng: sample_gw(p, rng, h)
     if args.regime == "conditioned":
-        _need(args, "n", "a")
         return lambda rng: sample_conditioned(p, args.n, args.a, rng, h)
     if args.regime == "kesten":
         return lambda rng: sample_kesten(p, rng, h)
     if args.regime == "poisson":
-        _need(args, "theta")
         return lambda rng: sample_poisson_tree(p, args.theta, rng, h)
-    _need(args, "k0")
     return lambda rng: sample_condensation(p, args.k0, rng, h, variant=args.variant)
 
 
@@ -181,31 +181,31 @@ def _resolve_config(ref: str) -> ExperimentConfig:
     )
 
 
+# per mode: the sweep, its CSV writer, the chart's x column (the grid value)
+# and whether its axis is log10, and the charted columns by curve name
+CONVERGE_MODES = {
+    "regime": (run_regime, write_regime_csv, "n", False,
+               {"tv_exact": "tv_exact", "residual bound": "tv_residual_bound"}),
+    "theta": (run_theta_continuity, write_theta_csv, "theta", True,
+              {"gap to kesten": "gap_kesten", "tv to kesten": "tv_kesten",
+               "gap to condensation": "gap_condensation",
+               "tv to condensation": "tv_condensation"}),
+}
+
+
 def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args.config)
-    if args.mode == "regime":
-        rows = run_regime(cfg)
-        with _open_out(args.out) as out:
-            write_regime_csv(rows, out)
-        series = [
-            ("tv_exact", [(float(r.n), r.tv_exact) for r in rows]),
-            ("residual bound", [(float(r.n), r.tv_residual_bound) for r in rows]),
-        ]
-        x_label, log_x = "n", False
-    else:
-        rows = run_theta_continuity(cfg)
-        with _open_out(args.out) as out:
-            write_theta_csv(rows, out)
-        series = [
-            ("gap to kesten", [(r.theta, r.gap_kesten) for r in rows]),
-            ("tv to kesten", [(r.theta, r.tv_kesten) for r in rows]),
-            ("gap to condensation", [(r.theta, r.gap_condensation) for r in rows]),
-            ("tv to condensation", [(r.theta, r.tv_condensation) for r in rows]),
-        ]
-        x_label, log_x = "theta", True
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            write_svg_chart(series, fh, x_label, "distance", log_x=log_x)
+    sweep, write, x, log_x, curves = CONVERGE_MODES[args.mode]
+    # both outputs open before the sweep, so a bad path costs no sweep
+    with _open_out(args.out) as out, (
+        open(args.svg, "w") if args.svg else contextlib.nullcontext()
+    ) as svg:
+        rows = sweep(cfg)
+        write(rows, out)
+        if svg:
+            series = [(name, [(float(getattr(r, x)), getattr(r, c)) for r in rows])
+                      for name, c in curves.items()]
+            write_svg_chart(series, svg, x, "distance", log_x=log_x)
     total_ms = sum(r.runtime_ms for r in rows)
     print(
         f"{len(rows)} rows ({cfg.regime}, {args.mode} mode) in {total_ms:.0f} ms",
@@ -214,9 +214,17 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_params(sp: argparse.ArgumentParser) -> None:
+def _add_law_options(sp: argparse.ArgumentParser) -> None:
+    """The options `law` and `sample` share."""
     sp.add_argument("--eta", type=float, required=True, help="mass 1-eta at zero")
     sp.add_argument("--q", type=float, required=True, help="geometric tail parameter")
+    sp.add_argument("--regime", required=True, choices=LAW_REGIMES)
+    sp.add_argument("--height", type=int, required=True, help="ball radius h")
+    sp.add_argument("--n", type=int, help="conditioning generation")
+    sp.add_argument("--a", type=int, help="conditioning size of generation n")
+    sp.add_argument("--theta", type=float)
+    sp.add_argument("--k0", type=int, help="keep only the first k0 root children")
+    sp.add_argument("--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,32 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     law = sub.add_parser("law", help="print an exact truncated ball law")
-    _add_params(law)
-    law.add_argument("--regime", required=True, choices=LAW_REGIMES)
-    law.add_argument("--height", type=int, required=True, help="ball radius h")
+    _add_law_options(law)
     law.add_argument("--degree-cap", type=int, required=True)
-    law.add_argument("--n", type=int, help="conditioning generation")
-    law.add_argument("--a", type=int, help="conditioning size of generation n")
-    law.add_argument("--theta", type=float)
-    law.add_argument("--k0", type=int, help="keep only the first k0 root children")
-    law.add_argument("--out")
     law.add_argument("--format", choices=("csv", "json"), default="csv")
     law.set_defaults(func=_cmd_law)
 
     smp = sub.add_parser("sample", help="draw trees and print them line by line")
-    _add_params(smp)
-    smp.add_argument("--regime", required=True, choices=LAW_REGIMES)
-    smp.add_argument("--height", type=int, required=True)
+    _add_law_options(smp)
     smp.add_argument("--samples", type=int, default=1)
     smp.add_argument("--seed", type=int, default=0)
-    smp.add_argument("--n", type=int)
-    smp.add_argument("--a", type=int)
-    smp.add_argument("--theta", type=float)
-    smp.add_argument("--k0", type=int)
     smp.add_argument(
         "--variant", choices=("two_type", "inhomogeneous"), default="two_type"
     )
-    smp.add_argument("--out")
     smp.set_defaults(func=_cmd_sample)
 
     orc = sub.add_parser("oracle", help="run the brute-force equivalence suite")
@@ -266,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a config JSON, or a bundled name (kesten, poisson, "
         "condensation)",
     )
-    cnv.add_argument("--mode", choices=("regime", "theta"), default="regime")
+    cnv.add_argument("--mode", choices=tuple(CONVERGE_MODES), default="regime")
     cnv.add_argument("--out", help="CSV destination (default stdout)")
     cnv.add_argument("--svg", help="also draw a line chart to this path")
     cnv.set_defaults(func=_cmd_converge)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -183,11 +183,6 @@ def conditioned_tree_law(
 ) -> float:
     """log P(radius-h ball = t | generation n has size a)."""
     ratio = size_conditioning_ratio(p, n, h, t.z(h), a)
-    if ratio == LOG_ZERO:
-        # avoid the ball-shape walk when the width already kills the mass
-        if not t.is_ball(h):
-            raise ValidationError("tree is not its own radius-h ball")
-        return LOG_ZERO
     return gw_tree_log_prob(p, t, h) + ratio
 
 
@@ -752,6 +747,8 @@ def _restricted_family(
     """
     if h < 1 or k0 < 1:
         raise ValidationError("need h >= 1 and k0 >= 1")
+    # the blocks share widths: evaluate each width's weight once per build
+    weight = cache(weight)
     entries: dict[str, float] = {}
     for j in range(1, k0):
         entries.update(_tabulate(_skeleton(p, h, degree_cap, j), weight))

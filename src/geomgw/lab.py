@@ -45,15 +45,6 @@ REGIMES = ("kesten", "poisson", "condensation")
 # theta grid used when a config does not spell one out: ten decades
 DEFAULT_THETA_GRID = tuple(10.0**e for e in range(-6, 4))
 
-REGIME_CSV_COLUMNS = ("n", "a_n", "tv_exact", "tv_residual_bound", "certified")
-THETA_CSV_COLUMNS = (
-    "theta",
-    "gap_kesten",
-    "tv_kesten",
-    "gap_condensation",
-    "tv_condensation",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -223,6 +214,8 @@ def _aligned(l1: TruncatedLaw, l2: TruncatedLaw):
 # sweeps
 
 
+# A sweep row's first field is its grid value and its CSV columns are its
+# fields but the timing, so reruns are byte-identical.
 @dataclass(frozen=True)
 class ConvergenceRow:
     n: int
@@ -243,6 +236,14 @@ class ThetaRow:
     runtime_ms: float
 
 
+def _csv_columns(row_class) -> tuple[str, ...]:
+    return tuple(f for f in row_class.__dataclass_fields__ if f != "runtime_ms")
+
+
+REGIME_CSV_COLUMNS = _csv_columns(ConvergenceRow)
+THETA_CSV_COLUMNS = _csv_columns(ThetaRow)
+
+
 # The limit laws do not depend on n, so each worker builds them once. Two
 # entries hold the theta rows' pair; the family is part of the key, looked
 # up by its name in this module at each call, so a wrapped or replaced
@@ -252,53 +253,42 @@ def _limit_law(family, *args) -> TruncatedLaw:
     return family(*args)
 
 
-def _regime_row(task: tuple[ExperimentConfig, int]) -> ConvergenceRow:
-    cfg, n = task
-    start = time.perf_counter()
+def _regime_row(cfg: ExperimentConfig, n: int) -> tuple:
     p = cfg.params
     a = target_generation_size(cfg, n)
-    try:
-        if cfg.regime == "condensation":
-            cond = conditioned_restricted_family(
-                p, n, a, cfg.h, cfg.k0, cfg.degree_cap
-            )
-            limit = _limit_law(
-                condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap
-            )
+    if cfg.regime == "condensation":
+        cond = conditioned_restricted_family(p, n, a, cfg.h, cfg.k0, cfg.degree_cap)
+        limit = _limit_law(condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap)
+    else:
+        cond = conditioned_family(p, n, a, cfg.h, cfg.degree_cap)
+        if cfg.regime == "kesten":
+            limit = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
         else:
-            cond = conditioned_family(p, n, a, cfg.h, cfg.degree_cap)
-            if cfg.regime == "kesten":
-                limit = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
-            else:
-                limit = _limit_law(
-                    poisson_family, p, cfg.h, cfg.theta, cfg.degree_cap
-                )
-        tv, bound = tv_distance(cond, limit)
-    except GeomGWError as exc:
-        raise type(exc)(f"grid point n={n}: {exc}") from None
-    ms = (time.perf_counter() - start) * 1000.0
-    return ConvergenceRow(n, a, tv, bound, bound <= cfg.certify_tolerance, ms)
+            limit = _limit_law(poisson_family, p, cfg.h, cfg.theta, cfg.degree_cap)
+    tv, bound = tv_distance(cond, limit)
+    return n, a, tv, bound, bound <= cfg.certify_tolerance
 
 
-def _theta_row(task: tuple[ExperimentConfig, float]) -> ThetaRow:
-    cfg, theta = task
-    start = time.perf_counter()
+def _theta_row(cfg: ExperimentConfig, theta: float) -> tuple:
     p = cfg.params
+    skinny = poisson_family(p, cfg.h, theta, cfg.degree_cap)
+    kesten = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
+    skinny_view = poisson_restricted_family(p, cfg.h, cfg.k0, theta, cfg.degree_cap)
+    fat = _limit_law(condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap)
+    return (theta, per_tree_gap(skinny, kesten), tv_distance(skinny, kesten)[0],
+            per_tree_gap(skinny_view, fat), tv_distance(skinny_view, fat)[0])
+
+
+def _timed_row(task):
+    """One grid point's row, timed; an error names the grid point."""
+    row_class, values, cfg, x = task
+    start = time.perf_counter()
     try:
-        skinny = poisson_family(p, cfg.h, theta, cfg.degree_cap)
-        kesten = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
-        skinny_view = poisson_restricted_family(
-            p, cfg.h, cfg.k0, theta, cfg.degree_cap
-        )
-        fat = _limit_law(condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap)
-        gap_k = per_tree_gap(skinny, kesten)
-        tv_k, _ = tv_distance(skinny, kesten)
-        gap_c = per_tree_gap(skinny_view, fat)
-        tv_c, _ = tv_distance(skinny_view, fat)
+        cells = values(cfg, x)
     except GeomGWError as exc:
-        raise type(exc)(f"grid point theta={theta!r}: {exc}") from None
-    ms = (time.perf_counter() - start) * 1000.0
-    return ThetaRow(theta, gap_k, tv_k, gap_c, tv_c, ms)
+        name = _csv_columns(row_class)[0]
+        raise type(exc)(f"grid point {name}={x!r}: {exc}") from None
+    return row_class(*cells, (time.perf_counter() - start) * 1000.0)
 
 
 def worker_count(explicit: int | None = None) -> int:
@@ -315,12 +305,13 @@ def worker_count(explicit: int | None = None) -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _run_tasks(fn, tasks: list, workers: int | None):
+def _sweep(row_class, values, cfg: ExperimentConfig, grid, workers: int | None):
+    tasks = [(row_class, values, cfg, x) for x in grid]
     w = min(worker_count(workers), len(tasks))
     if w <= 1:
-        return [fn(t) for t in tasks]
+        return list(map(_timed_row, tasks))
     with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(_timed_row, tasks))
 
 
 def run_regime(
@@ -330,7 +321,7 @@ def run_regime(
     per grid point, in grid order."""
     if cfg.regime == "kesten" and cfg.eta >= 1.0:
         raise ValidationError("the kesten regime needs eta < 1")
-    return _run_tasks(_regime_row, [(cfg, n) for n in cfg.n_grid], workers)
+    return _sweep(ConvergenceRow, _regime_row, cfg, cfg.n_grid, workers)
 
 
 def run_theta_continuity(
@@ -342,29 +333,27 @@ def run_theta_continuity(
     if cfg.eta >= 1.0:
         raise ValidationError("theta continuity needs eta < 1")
     grid = cfg.theta_grid or DEFAULT_THETA_GRID
-    return _run_tasks(_theta_row, [(cfg, t) for t in grid], workers)
+    return _sweep(ThetaRow, _theta_row, cfg, grid, workers)
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 
 
-def write_regime_csv(rows: Iterable[ConvergenceRow], out: TextIO) -> None:
-    out.write(",".join(REGIME_CSV_COLUMNS) + "\n")
+def _write_csv(columns: tuple[str, ...], rows: Iterable, out: TextIO) -> None:
+    out.write(",".join(columns) + "\n")
     for r in rows:
-        out.write(
-            f"{r.n},{r.a_n},{r.tv_exact!r},{r.tv_residual_bound!r},"
-            f"{int(r.certified)}\n"
-        )
+        cells = (getattr(r, c) for c in columns)  # a flag is written as 0 or 1
+        out.write(",".join(repr(int(v) if isinstance(v, bool) else v) for v in cells))
+        out.write("\n")
+
+
+def write_regime_csv(rows: Iterable[ConvergenceRow], out: TextIO) -> None:
+    _write_csv(REGIME_CSV_COLUMNS, rows, out)
 
 
 def write_theta_csv(rows: Iterable[ThetaRow], out: TextIO) -> None:
-    out.write(",".join(THETA_CSV_COLUMNS) + "\n")
-    for r in rows:
-        out.write(
-            f"{r.theta!r},{r.gap_kesten!r},{r.tv_kesten!r},"
-            f"{r.gap_condensation!r},{r.tv_condensation!r}\n"
-        )
+    _write_csv(THETA_CSV_COLUMNS, rows, out)
 
 
 def write_svg_chart(

@@ -212,7 +212,9 @@ class ExtinctionParams:
                      above it.
     mean:            its mean, min(mu, 1/mu).
     extinction_prob: extinction probability of the original tree,
-                     min(1, kappa). Zero exactly when eta = 1.
+                     min(1, kappa).
+
+    Needs eta < 1: at eta = 1 the tree never dies out.
     """
 
     law: OffspringParams
@@ -221,6 +223,8 @@ class ExtinctionParams:
 
 
 def extinction_params(p: OffspringParams) -> ExtinctionParams:
+    if p.eta >= 1.0:
+        raise ValidationError(f"extinction needs eta < 1, got eta={p.eta!r}")
     if p.mean <= 1.0:
         return ExtinctionParams(law=p, mean=p.mean, extinction_prob=1.0)
     return ExtinctionParams(

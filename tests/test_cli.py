@@ -258,6 +258,22 @@ def test_sample_checks_options_before_writing(
     assert not dest.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--regime", "poisson", "--theta", "1"),
+        ("--regime", "condensation", "--k0", "1"),
+    ],
+    ids=["poisson", "two_type"],
+)
+def test_sample_at_eta_one_names_eta(capsys, extra):
+    code, out, err = run(
+        capsys, "sample", "--eta", "1", "--q", "0.5", "--height", "2", *extra
+    )
+    assert code == 1
+    assert err == "error: extinction needs eta < 1, got eta=1.0\n"
+
+
 # sampler output pinned across changes: a refactor of any sampler must keep
 # every draw and its order, so these bytes may not move
 PINNED_SAMPLES = [
@@ -404,8 +420,38 @@ def test_unopenable_paths_are_errors(tmp_path, capsys, case):
     assert err.startswith("error:")
     assert "Traceback" not in err
     if case == "converge-svg":
-        # the sweep wrote its CSV before the chart path failed
-        assert len(out_csv.read_text().splitlines()) == 3
+        # both outputs open before the sweep: the chart path failed first,
+        # so the sweep never ran and the CSV holds not even its header
+        assert out_csv.read_text() == ""
+        assert "rows (" not in err
+
+
+# chart bytes of the bundled sweeps, pinned like the CSVs: a rewrite of the
+# converge path must draw the same charts
+PINNED_CHARTS = [
+    ("kesten", "regime",
+     "5c81c74eec1a6828b97dfc435cf06187d649e6cd70751190577f421824c186a4"),
+    ("poisson", "regime",
+     "2cc814e7b4847499e99cb4887dba41bdb8c6277ae1632ef241c974bb4b260bd6"),
+    ("condensation", "regime",
+     "34d551871456ad14bf2c3784bf3d283a50d2473581fbd211a41df3e92057b296"),
+    ("poisson", "theta",
+     "612aac0a8c2036cfcbcd18d14aad2126c20b3de106a61e772ecf1878faaf46fd"),
+]
+
+
+@pytest.mark.parametrize(
+    "config,mode,digest", PINNED_CHARTS,
+    ids=["kesten", "poisson", "condensation", "poisson-theta"],
+)
+def test_converge_svg_is_pinned(tmp_path, capsys, config, mode, digest):
+    out_svg = tmp_path / "chart.svg"
+    code, out, err = run(
+        capsys, "converge", "--config", config, "--mode", mode,
+        "--out", str(tmp_path / "curve.csv"), "--svg", str(out_svg),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -186,6 +186,12 @@ def test_extinction_params():
         assert extinction_params(p).law.q == max(p.eta, p.q)
 
 
+def test_extinction_params_need_eta_below_one():
+    # without mass at zero there is no mirrored law; the error names eta
+    with pytest.raises(ValidationError, match=r"eta < 1, got eta=1\.0"):
+        extinction_params(OffspringParams(1.0, 0.5))
+
+
 def test_immigration_rate_frozen():
     assert immigration_rate(SUP, 0) == pytest.approx(3.0 / 7.0, rel=1e-13)
     assert immigration_rate(OffspringParams(0.3, 0.6), 1) == pytest.approx(

@@ -247,6 +247,22 @@ def test_kesten_rejects_eta_one():
         sample_kesten(OffspringParams(1.0, 0.5), RandomSource(1), 2)
 
 
+def test_typed_samplers_at_eta_one_name_eta():
+    # the Poisson and two-type samplers grow bushes on the law conditioned
+    # to die out, which needs mass at zero; the inhomogeneous variant does not
+    p = OffspringParams(1.0, 0.5)
+    for draw in (
+        lambda r: sample_poisson_tree(p, 1.0, r, 2),
+        lambda r: sample_condensation(p, 1, r, 2),
+    ):
+        with pytest.raises(
+            ValidationError, match=r"^extinction needs eta < 1, got eta=1\.0$"
+        ):
+            draw(RandomSource(1))
+    tree = sample_condensation(p, 1, RandomSource(1), 2, "inhomogeneous")
+    assert tree.degrees[0] == 1
+
+
 # -- skinny-family sampler ---------------------------------------------------
 
 
