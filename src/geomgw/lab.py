@@ -343,7 +343,8 @@ def run_theta_continuity(
 def _write_csv(columns: tuple[str, ...], rows: Iterable, out: TextIO) -> None:
     out.write(",".join(columns) + "\n")
     for r in rows:
-        cells = (getattr(r, c) for c in columns)  # a flag is written as 0 or 1
+        # each cell is the field's repr, a flag's as 0 or 1
+        cells = (getattr(r, c) for c in columns)
         out.write(",".join(repr(int(v) if isinstance(v, bool) else v) for v in cells))
         out.write("\n")
 
