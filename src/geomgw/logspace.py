@@ -46,7 +46,14 @@ def log_sub(x: float, y: float) -> float:
 
 def log_sum(values: Iterable[float]) -> float:
     """log(sum(e^v)) over an iterable, empty sum -> -inf."""
-    arr = np.asarray(list(values), dtype=float)
+    values = list(values)
+    if len(values) == 1:
+        # the array path's operations in plain floats, bit for bit
+        m = float(values[0])
+        if m == LOG_ZERO:
+            return LOG_ZERO
+        return m + math.log(math.exp(m - m))
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
     m = float(arr.max())

@@ -10,6 +10,7 @@ reproducible bit for bit from the seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,39 +118,104 @@ def _cached_forest(eta: float, q: float, k: int, gens: int, a: int) -> float:
     return log_forest_pmf(OffspringParams(eta, q), k, gens, a)
 
 
+# Tables kept for each of the two scans below, least recently used dropped
+# first. A table holds one float per term that some draw has needed, never
+# more than its scan's length (1024 + 64 (z + a) sizes for the bridge,
+# s + 1 counts for an allocation).
+_SCAN_TABLES = 4096
+
+
+class _LazyScan:
+    """The running values of one inverse-cdf scan, kept between draws and
+    computed in scan order only as far as some draw has needed them.
+
+    step(acc, i) returns the accumulator after term i and the value the
+    scan compares with its target there. The values never decrease, so the
+    first one at or above a target, which the scan would stop at, is found
+    by bisection once it has been computed.
+    """
+
+    __slots__ = ("values", "_acc", "_step", "_length")
+
+    def __init__(self, step: Callable[[float, int], tuple], acc: float, length: int):
+        self.values: list[float] = []
+        self._acc = acc
+        self._step = step
+        self._length = length
+
+    def first_at_least(self, target: float) -> int:
+        """Index of the first value >= target; the scan's length when every
+        value lies below it."""
+        values = self.values
+        if values and values[-1] >= target:
+            return bisect_left(values, target)
+        step = self._step
+        for i in range(len(values), self._length):
+            self._acc, v = step(self._acc, i)
+            values.append(v)
+            if v >= target:
+                return i
+        return self._length
+
+
+@lru_cache(maxsize=_SCAN_TABLES)
+def _bridge_table(eta: float, q: float, z: int, gens_after: int, a: int) -> _LazyScan:
+    """The bridge kernel's scan over sizes b = 1, 2, ... up to its cap: the
+    value at index b - 1 is log of the kernel mass on {1, ..., b}.
+
+    Size b carries weight forest(z, 1, b) * forest(b, gens_after, a), and
+    the normalizer is forest(z, gens_after + 1, a) by one-step
+    decomposition.
+    """
+    log_total = _cached_forest(eta, q, z, gens_after + 1, a)
+
+    def step(acc: float, i: int) -> tuple[float, float]:
+        b = i + 1
+        lw = _cached_forest(eta, q, z, 1, b) + _cached_forest(eta, q, b, gens_after, a)
+        acc = log_add(acc, lw)
+        return acc, acc - log_total
+
+    return _LazyScan(step, LOG_ZERO, 1024 + 64 * (z + a))
+
+
 def _bridge_step(
     p: OffspringParams, z: int, gens_after: int, a: int, rng: RandomSource
 ) -> int:
-    """Draw the next generation size of the conditioned chain.
-
-    Given the current size z with gens_after generations still to go before
-    the pinned endpoint a, size b carries weight
-    forest(z, 1, b) * forest(b, gens_after, a), and the normalizer is
-    forest(z, gens_after + 1, a) by one-step decomposition.
-    """
+    """Draw the next generation size of the conditioned chain: the current
+    size is z, with gens_after generations still to go before the pinned
+    endpoint a."""
     if gens_after == 0:
         return a
-    log_total = _cached_forest(p.eta, p.q, z, gens_after + 1, a)
-    log_u = math.log(rng.uniform())
-    acc = LOG_ZERO
-    cap = 1024 + 64 * (z + a)
-    b = 0
-    while b < cap:
-        b += 1
-        lw = _cached_forest(p.eta, p.q, z, 1, b) + _cached_forest(
-            p.eta, p.q, b, gens_after, a
-        )
-        acc = log_add(acc, lw)
-        if acc - log_total >= log_u:
-            return b
-    if acc - log_total < math.log1p(-BRIDGE_RTOL):
+    table = _bridge_table(p.eta, p.q, z, gens_after, a)
+    i = table.first_at_least(math.log(rng.uniform()))
+    if i < len(table.values):
+        return i + 1
+    cap = i  # every size up to the cap is scanned and none reached log_u
+    covered = table.values[-1]
+    if covered < math.log1p(-BRIDGE_RTOL):
         raise TruncationError(
-            "bridge kernel scan stopped at b="
-            f"{cap} covering only exp({acc - log_total}) of the mass"
+            f"bridge kernel scan stopped at b={cap} covering only "
+            f"exp({covered}) of the mass"
         )
     # The scan certified all but < BRIDGE_RTOL of the kernel and the draw
     # fell in that sliver; the largest scanned size is the honest answer.
     return cap
+
+
+@lru_cache(maxsize=_SCAN_TABLES)
+def _allocation_table(eta: float, q: float, parents: int, s: int) -> _LazyScan:
+    """The scan for the first of `parents` ordered parents sharing s
+    children: the value at index x is the conditional cdf of its count at x,
+    given the total."""
+    p = OffspringParams(eta, q)
+    log_den = _cached_forest(eta, q, parents, 1, s)
+
+    def step(cum: float, x: int) -> tuple[float, float]:
+        lx = p.log_pmf(x) + _cached_forest(eta, q, parents - 1, 1, s - x)
+        cum += math.exp(lx - log_den)
+        return cum, cum
+
+    return _LazyScan(step, 0.0, s + 1)
 
 
 def _allocate(p: OffspringParams, z: int, b: int, rng: RandomSource) -> list[int]:
@@ -157,16 +223,12 @@ def _allocate(p: OffspringParams, z: int, b: int, rng: RandomSource) -> list[int
     degs = []
     s = b
     for j in range(z - 1):
-        log_den = _cached_forest(p.eta, p.q, z - j, 1, s)
+        table = _allocation_table(p.eta, p.q, z - j, s)
+        # the count is the first x with u < cdf(x), that is with cdf(x) at
+        # or above the next double after u; rounding may leave the whole
+        # scan below u, and then the parent takes all s
         u = rng.uniform()
-        cum = 0.0
-        x = 0
-        while True:
-            lx = p.log_pmf(x) + _cached_forest(p.eta, p.q, z - j - 1, 1, s - x)
-            cum += math.exp(lx - log_den)
-            if u < cum or x == s:
-                break
-            x += 1
+        x = min(table.first_at_least(math.nextafter(u, math.inf)), s)
         degs.append(x)
         s -= x
     degs.append(s)
@@ -207,17 +269,25 @@ def sample_conditioned(
 
 
 def _grow_plain(
-    law: OffspringParams, rng: RandomSource, levels_left: int, budget: _Budget
-) -> list[int]:
-    """Preorder degrees of one GW(law) bush truncated levels_left down."""
+    law: OffspringParams,
+    rng: RandomSource,
+    level: int,
+    depth: int,
+    budget: _Budget,
+    degs: list[int],
+    depths: list[int],
+) -> None:
+    """Append the preorder degrees and depths of one GW(law) bush rooted at
+    `level` and truncated at `depth`."""
     budget.spend()
-    if levels_left == 0:
-        return [0]
+    depths.append(level)
+    if level == depth:
+        degs.append(0)
+        return
     k = rng.offspring(law)
-    out = [k]
+    degs.append(k)
     for _ in range(k):
-        out.extend(_grow_plain(law, rng, levels_left - 1, budget))
-    return out
+        _grow_plain(law, rng, level + 1, depth, budget, degs, depths)
 
 
 def _materialize(
@@ -232,14 +302,17 @@ def _materialize(
     Each survivor short of the horizon gets (degree, surviving child
     positions) from branch(level); preorder meets the survivors of a level
     left to right. Every other child grows a mirrored-law bush. Preorder
-    fixes the order of every draw made on the way.
+    fixes the order of every draw made on the way, and each node's depth
+    is recorded as its degree is, so the tree needs no validation walk.
     """
     degs: list[int] = []
+    depths: list[int] = []
     flags: list[str] = []
 
     def visit(level: int) -> None:
         budget.spend()
         flags.append("1")
+        depths.append(level)
         if level == depth:
             degs.append(0)
             return
@@ -249,12 +322,12 @@ def _materialize(
             if i in spos:
                 visit(level + 1)
             else:
-                bush = _grow_plain(law, rng, depth - level - 1, budget)
-                degs.extend(bush)
-                flags.append("0" * len(bush))
+                start = len(degs)
+                _grow_plain(law, rng, level + 1, depth, budget, degs, depths)
+                flags.append("0" * (len(degs) - start))
 
     visit(0)
-    return TypedTree(OrderedTree(degs), "".join(flags))
+    return TypedTree(OrderedTree._trusted(tuple(degs), tuple(depths)), "".join(flags))
 
 
 def _scatter(s: int, qhat: float, rng: RandomSource) -> tuple[int, frozenset]:
@@ -371,22 +444,24 @@ def _condensation_inhom(
     p: OffspringParams, k0: int, rng: RandomSource, depth: int, budget: _Budget
 ) -> OrderedTree:
     laws = {m: condensation_offspring_params(p, m) for m in range(1, depth)}
+    degs = [k0]
+    depths = [0]
 
-    def node(m: int) -> list[int]:
+    def node(m: int) -> None:
         budget.spend()
+        depths.append(m)
         if m == depth:
-            return [0]
+            degs.append(0)
+            return
         k = rng.offspring(laws[m])
-        out = [k]
+        degs.append(k)
         for _ in range(k):
-            out.extend(node(m + 1))
-        return out
+            node(m + 1)
 
     budget.spend()
-    degs = [k0]
     for _ in range(k0):
-        degs.extend(node(1))
-    return OrderedTree(degs)
+        node(1)
+    return OrderedTree._trusted(tuple(degs), tuple(depths))
 
 
 def _condensation_two_type(

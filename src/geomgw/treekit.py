@@ -62,7 +62,8 @@ class OrderedTree:
         cls, degrees: tuple[int, ...], depths: tuple[int, ...]
     ) -> "OrderedTree":
         """A tree from a degree tuple and its depths that are valid by
-        construction, as enumeration builds them: no validation walk."""
+        construction, as enumeration and the samplers build them: no
+        validation walk."""
         t = cls.__new__(cls)
         t._degrees = degrees
         t._depths = depths
@@ -161,13 +162,20 @@ class OrderedTree:
     def from_level_degrees(cls, levels: Sequence[Sequence[int]]) -> "OrderedTree":
         """Build a tree from per-level degree lists.
 
-        levels[m] lists the out-degrees of the depth-m nodes in
+        levels[m] lists the out-degrees (ints) of the depth-m nodes in
         left-to-right order; level m+1 must contain exactly sum(levels[m])
         entries, and the final level must consist of zeros (explicitly).
         This is the natural output shape of the level-by-level samplers.
+
+        Preorder meets the nodes of each level left to right, so one walk
+        that reads each level in turn emits the degrees and their depths
+        together; with the widths checked, the tree is valid by
+        construction.
         """
         if not levels or len(levels[0]) != 1:
             raise ValidationError("level lists must start with the root level")
+        if min(itertools.chain.from_iterable(levels)) < 0:
+            raise ValidationError("degrees must be non-negative")
         for m in range(len(levels) - 1):
             if sum(levels[m]) != len(levels[m + 1]):
                 raise ValidationError(
@@ -176,17 +184,25 @@ class OrderedTree:
                 )
         if sum(levels[-1]) != 0:
             raise ValidationError("the last level must close the tree with zeros")
-        offsets = [list(itertools.accumulate(lev, initial=0)) for lev in levels]
-        out = []
-        stack = [(0, 0)]
+        reads = [iter(lev).__next__ for lev in levels]
+        degrees = []
+        depths = []
+        # stack[m]: depth-m nodes still to visit under the open node one
+        # level up (level 0 holds the root alone)
+        stack = [1]
         while stack:
-            m, i = stack.pop()
-            d = levels[m][i]
-            out.append(d)
-            base = offsets[m][i]
-            for j in reversed(range(d)):
-                stack.append((m + 1, base + j))
-        return cls(out)
+            left = stack[-1]
+            if not left:
+                stack.pop()
+                continue
+            stack[-1] = left - 1
+            m = len(stack) - 1
+            d = reads[m]()
+            degrees.append(d)
+            depths.append(m)
+            if d:
+                stack.append(d)
+        return cls._trusted(tuple(degrees), tuple(depths))
 
     # -- dunder ----------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Log-domain arithmetic at the edges of double precision."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 
-from geomgw.logspace import LOG_ZERO, log_binomial, log_sub
+from geomgw.logspace import LOG_ZERO, log_binomial, log_sub, log_sum
 
 
 def test_log_sub_half_an_ulp_below_is_zero():
@@ -42,3 +44,24 @@ def test_log_binomial_at_astronomic_n(n, k):
     with mpmath.workdps(50):
         want = float(mpmath.log(mpmath.binomial(mpmath.mpf(n), k)))
     assert abs(log_binomial(n, k) - want) <= 1e-12
+
+
+def array_log_sum(values):
+    """log_sum's numpy path, applied to any number of terms."""
+    arr = np.asarray(values, dtype=float)
+    m = float(arr.max())
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    return m + math.log(float(np.exp(arr - m).sum()))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [0.0, -0.0, 1.5, -745.25, 5e-324, 1e308, -1e308,
+     math.inf, -math.inf, math.nan, -math.nan],
+)
+def test_log_sum_of_one_term_keeps_the_array_bits(v):
+    with np.errstate(invalid="ignore"):
+        want = array_log_sum([v])
+    for got in (log_sum([v]), log_sum(iter([v]))):
+        assert struct.pack("<d", got) == struct.pack("<d", want)

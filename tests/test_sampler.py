@@ -1,5 +1,6 @@
 """Exact samplers: determinism, structural audits, and law agreement."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -12,6 +13,7 @@ from geomgw import (
     OrderedTree,
     RandomSource,
     ResourceError,
+    TruncationError,
     TypedTree,
     ValidationError,
     audit_skeleton,
@@ -32,7 +34,9 @@ from geomgw import (
     sample_gw,
     sample_kesten,
     sample_poisson_tree,
+    sampler,
 )
+from geomgw.logspace import LOG_ZERO
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.3, 0.5)
@@ -190,6 +194,81 @@ def test_every_sampler_enforces_its_node_cap(draw, cap):
     for seed in range(5):
         with pytest.raises(ResourceError, match=f"exceeded the {cap}-node cap"):
             draw(RandomSource(seed), cap)
+
+
+def clear_scan_tables():
+    sampler._bridge_table.cache_clear()
+    sampler._allocation_table.cache_clear()
+
+
+def stream_sha256(draw, count, seed, cold):
+    """SHA-256 of the tree codes of draws 0 .. count-1 from RandomSource(seed)
+    children. cold clears the scan tables before every draw; otherwise the
+    draws share them."""
+    root = RandomSource(seed)
+    lines = []
+    clear_scan_tables()
+    for i in range(count):
+        if cold:
+            clear_scan_tables()
+        lines.append(draw(root.child(i)).encode() + "\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# The large-a stream below, as the samplers drew it before the scan tables.
+LARGE_A_SHA256 = "65fb5ec3c2d2732bdd3a705c545a26a801e9a3a49e58e8ffe1c951e14b5c19c6"
+
+
+@pytest.mark.parametrize(
+    "n,a,depth,count,pinned",
+    [(40, 200, 5, 200, None), (50, 125000, 2, 3, LARGE_A_SHA256)],
+    ids=["bridge", "large_a"],
+)
+def test_cold_and_warm_scan_tables_draw_the_same_bytes(n, a, depth, count, pinned):
+    draw = lambda r: sample_conditioned(CRIT, n, a, r, depth)  # noqa: E731
+    warm = stream_sha256(draw, count, 11, cold=False)
+    assert stream_sha256(draw, count, 11, cold=True) == warm
+    if pinned is not None:
+        assert warm == pinned
+
+
+class TopUniform:
+    """A random source whose every uniform is the largest double below 1."""
+
+    def uniform(self):
+        return 1.0 - 2.0**-53
+
+
+def test_bridge_scan_past_its_cap(monkeypatch):
+    real = sampler.log_forest_pmf
+    cap = 1024 + 64 * (1 + 3)  # the kernel scan's cap from z = 1 towards a = 3
+
+    def no_one_step_mass(p, k, n, a):
+        return LOG_ZERO if n == 1 else real(p, k, n, a)
+
+    def total_a_shade_high(p, k, n, a):
+        return real(p, k, n, a) + (1e-13 if (k, n, a) == (1, 4, 3) else 0.0)
+
+    sampler._cached_forest.cache_clear()
+    clear_scan_tables()
+    try:
+        # no weight anywhere: the scan ends at its cap covering nothing, on a
+        # cold table and again on the warm one it left
+        monkeypatch.setattr(sampler, "log_forest_pmf", no_one_step_mass)
+        for _ in range(2):
+            with pytest.raises(TruncationError, match=f"stopped at b={cap} "):
+                sample_conditioned(CRIT, 4, 3, RandomSource(1), 2)
+        assert sampler._bridge_table.cache_info().hits == 1
+        # all but about 1e-13 of the mass covered: a draw in that sliver
+        # takes the cap
+        monkeypatch.setattr(sampler, "log_forest_pmf", total_a_shade_high)
+        sampler._cached_forest.cache_clear()
+        clear_scan_tables()
+        for _ in range(2):
+            assert sampler._bridge_step(CRIT, 1, 3, 3, TopUniform()) == cap
+    finally:
+        sampler._cached_forest.cache_clear()
+        clear_scan_tables()
 
 
 def test_conditioned_validation():
@@ -412,6 +491,31 @@ def test_condensation_validation():
         sample_condensation(CRIT, 2, r, 0)
     with pytest.raises(ValidationError):
         sample_condensation(CRIT, 2, r, 2, "spectral")
+
+
+# -- trees built without a validation walk -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda r: sample_gw(SUP, r, 3),
+        lambda r: sample_conditioned(CRIT, 6, 4, r, 3),
+        lambda r: sample_kesten(CRIT, r, 3).tree,
+        lambda r: sample_poisson_tree(CRIT, 0.8, r, 3).tree,
+        lambda r: sample_condensation(CRIT, 2, r, 3).tree,
+        lambda r: sample_condensation(CRIT, 2, r, 3, "inhomogeneous"),
+    ],
+    ids=["gw", "conditioned", "kesten", "poisson", "two_type", "inhomogeneous"],
+)
+def test_sampled_trees_equal_validated_trees(draw):
+    root = RandomSource(2024)
+    for i in range(2000):
+        t = draw(root.child(i))
+        checked = OrderedTree(t.degrees)
+        assert t == checked
+        assert t.depths == checked.depths
+        assert all(type(d) is int for d in t.degrees)
 
 
 # -- typed trees and audits --------------------------------------------------

@@ -1,6 +1,7 @@
 """Ordered-tree container, codes, truncations, and exhaustive enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -82,8 +83,35 @@ def test_restrict_k_keeps_leading_root_subtrees():
 
 
 def test_from_level_degrees_rejects_inconsistent_widths():
-    with pytest.raises(ValidationError):
-        OrderedTree.from_level_degrees([[2], [0]])
+    bad = [
+        [],
+        [[1, 0], [0]],  # two roots
+        [[2], [0]],
+        [[2], [0, 0, 0]],
+        [[1], [1]],  # the last level leaves a child open
+        [[1], [2], [0, 1]],
+        # widths that add up only through a negative degree
+        [[2], [1, -1]],
+        [[3], [1, -1, 1], [0]],
+    ]
+    for levels in bad:
+        with pytest.raises(ValidationError):
+            OrderedTree.from_level_degrees(levels)
+
+
+def test_from_level_degrees_matches_the_validated_tree():
+    rng = random.Random(7)
+    for _ in range(500):
+        levels = [[rng.randint(0, 3)]]
+        for _ in range(rng.randint(0, 5)):
+            levels.append([rng.randint(0, 3) for _ in range(sum(levels[-1]))])
+        levels.append([0] * sum(levels[-1]))
+        t = OrderedTree.from_level_degrees(levels)
+        checked = OrderedTree(t.degrees)
+        assert t == checked
+        assert t.depths == checked.depths
+        assert [[d for d, m in zip(t.degrees, t.depths) if m == h]
+                for h in range(len(levels))] == levels
 
 
 @pytest.mark.parametrize("height", [0, 1, 2, 3])
