@@ -54,6 +54,9 @@ def log_sum(values: Iterable[float]) -> float:
             return LOG_ZERO
         return m + math.log(math.exp(m - m))
     arr = np.asarray(values, dtype=float)
+    # tabulated laws sum over 137k-entry tables here: drop the list so that
+    # the terms are not held twice at the peak
+    del values
     if arr.size == 0:
         return LOG_ZERO
     m = float(arr.max())
