@@ -14,6 +14,12 @@ randomness was produced:
         root:   PCG64 seeded with the user seed
         child i: PCG64 seeded with the first 8 bytes (big endian) of
                  SHA-256(b"<parent seed>/<i>")
+
+Seeding PCG64 from an integer runs it through numpy's SeedSequence, whose
+per-call Python overhead dwarfs the hash. So a parent seeds its children
+CHILD_BLOCK indices at a time: one pass of SeedSequence's mixing over
+uint32 arrays gives the PCG64 state words of the whole block, the same
+words numpy computes seed by seed.
 """
 from __future__ import annotations
 
@@ -21,10 +27,98 @@ import hashlib
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 
 ALGORITHM = "pcg64-sha256split-v1"
+
+# indices per child seeding block; blocks start at multiples of it
+CHILD_BLOCK = 256
+
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4  # SeedSequence's default pool, in uint32 words
+_STATE_WORDS = 4  # uint64 words PCG64 asks for
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of `count` hash steps, and after the
+    last: init * mult^i mod 2^32. It never depends on the data."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# the pool fill hashes each pool word once, then every ordered pair of
+# distinct words once; the state draws hash 2 uint32 per uint64 word
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _STATE_WORDS)
+
+
+def _hashmix(v: np.ndarray, before, after) -> np.ndarray:
+    v = (v ^ before) * after
+    return v ^ (v >> _XSHIFT)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is `np.random.SeedSequence(seeds[i]).generate_state(4,
+    np.uint64)`, for uint64 seeds, computed for all rows at once with
+    uint32 arithmetic that wraps as the C code's does.
+
+    SeedSequence splits an integer into little-endian uint32 words and pads
+    the pool with hashes of 0. Hashing a 0 word gives the same value, so a
+    seed below 2^32 (one word) and its two-word form [lo, 0] agree, and
+    every 64-bit seed enters as [lo, hi, 0, 0]."""
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    # pool word i takes hash step i
+    steps = _HASH_A[:_POOL_SIZE + 1, None]
+    pool = _hashmix(pool, steps[:-1], steps[1:])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h = _hashmix(pool[src], _HASH_A[k], _HASH_A[k + 1])
+                k += 1
+                m = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * h
+                pool[dst] = m ^ (m >> _XSHIFT)
+    # uint32 output word i reads pool word i mod 4 and takes hash step i
+    cycle = np.arange(2 * _STATE_WORDS) % _POOL_SIZE
+    steps = _HASH_B[:, None]
+    half = _hashmix(pool[cycle], steps[:-1], steps[1:]).astype(np.uint64)
+    # uint64 word j is uint32 words 2j (low) and 2j+1 (high), by value
+    words = half[0::2] | (half[1::2] << np.uint64(32))
+    # PCG64 reads each row's memory directly, so rows must be contiguous
+    return np.ascontiguousarray(words.T)
+
+
+def _child_block(seed: int, start: int) -> tuple[list[int], np.ndarray]:
+    """Seeds and PCG64 state words of children start .. start+CHILD_BLOCK-1."""
+    prefixes = b"".join(
+        hashlib.sha256(f"{seed}/{i}".encode()).digest()[:8]
+        for i in range(start, start + CHILD_BLOCK)
+    )
+    seeds = np.frombuffer(prefixes, dtype=">u8").astype(np.uint64)
+    return seeds.tolist(), _seed_sequence_words(seeds)
+
+
+class _StateWords(ISeedSequence):
+    """Hands PCG64 its state words, derived ahead of time. PCG64 asks only
+    for `generate_state(4, np.uint64)`, so the arguments are not read."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class RandomSource:
@@ -32,15 +126,35 @@ class RandomSource:
     distribution inverters the samplers need."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
+        # bool is an int subclass, but its children would hash "True/i"
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValidationError("seed must be an integer")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._block_start = None
 
     def child(self, index: int) -> "RandomSource":
-        """Independent substream number `index`, derived by hashing."""
-        digest = hashlib.sha256(f"{self.seed}/{index}".encode()).digest()
-        return RandomSource(int.from_bytes(digest[:8], "big"))
+        """Independent substream number `index`, derived by hashing.
+
+        The state comes from the parent's latest block of CHILD_BLOCK
+        indices, filled on a miss. It depends on (seed, index) alone, so
+        the order of calls never changes a stream."""
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValidationError("child index must be an integer")
+        row = index % CHILD_BLOCK
+        start = index - row
+        if start != self._block_start:
+            self._block_seeds, self._block_words = _child_block(self.seed, start)
+            self._block_start = start
+        kid = RandomSource.__new__(RandomSource)
+        kid.seed = self._block_seeds[row]
+        kid._gen = np.random.Generator(
+            np.random.PCG64(_StateWords(self._block_words[row]))
+        )
+        kid._block_start = None
+        return kid
 
     # -- primitive draws --------------------------------------------------
 

@@ -258,6 +258,18 @@ def test_sample_checks_options_before_writing(
     assert not dest.exists()
 
 
+def test_sample_negative_seed_is_an_error(tmp_path, capsys):
+    dest = tmp_path / "draws.csv"
+    code, out, err = run(
+        capsys, "sample", "--regime", "gw", "--eta", "0.5", "--q", "0.5",
+        "--height", "2", "--seed", "-1", "--out", str(dest),
+    )
+    assert code == 1
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert "Traceback" not in err
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize(
     "extra",
     [

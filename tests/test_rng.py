@@ -2,15 +2,17 @@
 
 import hashlib
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgw import OffspringParams, RandomSource, ValidationError
-from geomgw.rng import ALGORITHM
+from geomgw.rng import ALGORITHM, CHILD_BLOCK, _seed_sequence_words
 
 CRIT = OffspringParams(0.5, 0.5)
 SUP = OffspringParams(0.6, 0.3)
@@ -106,6 +108,64 @@ def test_seed_must_be_integer():
         RandomSource("42")
     with pytest.raises(ValidationError):
         RandomSource(1.5)
+    # bool is an int subclass, and its children would hash "True/i"
+    with pytest.raises(ValidationError):
+        RandomSource(True)
+    with pytest.raises(ValidationError):
+        RandomSource(False)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        RandomSource(-1)
+    for index in (True, 1.0, "1"):
+        with pytest.raises(ValidationError):
+            RandomSource(1).child(index)
+
+
+# -- block seeding of children ---------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def numpy_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+def test_block_words_match_seed_sequence_at_edge_seeds():
+    got = _seed_sequence_words(np.array(EDGE_SEEDS, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(EDGE_SEEDS), 4)
+    for seed, row in zip(EDGE_SEEDS, got):
+        assert row.tolist() == numpy_words(seed).tolist()
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_block_words_match_seed_sequence(seeds):
+    got = _seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    assert [row.tolist() for row in got] == [
+        numpy_words(s).tolist() for s in seeds
+    ]
+
+
+def test_block_seeded_children_equal_integer_seeded_pcg64():
+    # indices on both sides of block edges, far blocks and a negative one
+    assert CHILD_BLOCK == 256
+    order = [0, 255, 256, 511, 512, 700, -1]
+    random.Random(3).shuffle(order)
+    warm = RandomSource(77)
+    warm.child(300)
+    for parent in (RandomSource(77), warm):
+        for i in order:
+            kid = parent.child(i)
+            assert type(kid.seed) is int
+            assert kid.seed == int.from_bytes(
+                hashlib.sha256(f"77/{i}".encode()).digest()[:8], "big"
+            )
+            assert kid._gen.bit_generator.state == np.random.PCG64(kid.seed).state
+    mid = RandomSource(77).child(700)
+    nested = mid.child(5)
+    assert nested.seed == int.from_bytes(
+        hashlib.sha256(f"{mid.seed}/5".encode()).digest()[:8], "big"
+    )
+    assert nested._gen.bit_generator.state == np.random.PCG64(nested.seed).state
 
 
 @given(st.integers(0, 2**32), st.integers(1, 50))
