@@ -231,14 +231,14 @@ def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> floa
     Multiplying the plain ball law by this weight gives the radius-h law
     of the theta-member of the limit family. At theta = 0 it equals the
     eternal-tree weight exactly; as theta grows the mass drifts toward
-    wide balls. Valid for every theta >= 0; width 0 carries no mass.
+    wide balls. Valid for every finite theta >= 0; width 0 carries no mass.
     Only the death probability and the dual mean enter, as plain numbers,
     so eta = 1 works here even though the dual law itself degenerates.
     """
     if h < 0:
         raise ValidationError(f"radius must be >= 0, got {h}")
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    if not 0.0 <= theta < math.inf:
+        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
     if k < 0:
         raise ValidationError(f"ball width must be >= 0, got {k}")
     if k == 0:
@@ -572,10 +572,10 @@ class TruncatedLaw:
 
 def law_normalize_check(law: TruncatedLaw) -> float:
     """Log of the total tabulated mass; raises if the mass exceeds 1 beyond
-    rounding slack."""
+    rounding slack or is not a number."""
     log_total = law.log_total()
     total = math.exp(log_total)
-    if total > 1.0 + MASS_TOLERANCE:
+    if not total <= 1.0 + MASS_TOLERANCE:
         raise CertificationError(
             f"tabulated mass {total!r} exceeds 1 (law {law.meta.get('law', '?')})"
         )
@@ -785,8 +785,8 @@ def poisson_restricted_family(
     p: OffspringParams, h: int, k0: int, theta: float, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the theta-member of the skinny limit family."""
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    if not 0.0 <= theta < math.inf:
+        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
     if p.eta >= 1.0:
         raise ValidationError(
             "the restricted view of the skinny family needs eta < 1 "

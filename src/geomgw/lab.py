@@ -68,8 +68,8 @@ class ExperimentConfig:
         # JSON hands over any value; a bool is an int to isinstance
         ints = [(f, getattr(self, f)) for f in ("h", "degree_cap", "k0", "a_const")]
         ints += [("n_grid entry", n) for n in self.n_grid]
-        reals = [(f, getattr(self, f)) for f in ("eta", "q", "theta", "certify_tolerance")]
-        reals += [("theta_grid entry", t) for t in self.theta_grid]
+        thetas = [("theta", self.theta)] + [("theta_grid entry", t) for t in self.theta_grid]
+        reals = [(f, getattr(self, f)) for f in ("eta", "q", "certify_tolerance")] + thetas
         for kind, what, fields in ((int, "an integer", ints), ((int, float), "a number", reals)):
             for name, value in fields:
                 if isinstance(value, bool) or not isinstance(value, kind):
@@ -88,8 +88,9 @@ class ExperimentConfig:
             raise ValidationError(f"degree_cap must be >= 1, got {self.degree_cap}")
         if self.k0 < 1:
             raise ValidationError(f"k0 must be >= 1, got {self.k0}")
-        if not self.theta > 0.0:
-            raise ValidationError(f"theta must be > 0, got {self.theta}")
+        for name, value in thetas:
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
         if self.a_rule not in ("default", "const"):
             raise ValidationError(f"a_rule must be default or const, got {self.a_rule!r}")
         if self.a_rule == "const" and self.a_const < 1:

@@ -204,8 +204,8 @@ class RandomSource:
         """Poisson by cdf inversion, splitting large means exactly through
         additivity (a Poisson sum of halves is Poisson) so no normal
         approximation ever enters."""
-        if lam < 0.0:
-            raise ValidationError(f"Poisson mean must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValidationError(f"Poisson mean must be finite and >= 0, got {lam}")
         if lam == 0.0:
             return 0
         if lam > 30.0:

@@ -268,28 +268,6 @@ def sample_conditioned(
 # limit trees
 
 
-def _grow_plain(
-    law: OffspringParams,
-    rng: RandomSource,
-    level: int,
-    depth: int,
-    budget: _Budget,
-    degs: list[int],
-    depths: list[int],
-) -> None:
-    """Append the preorder degrees and depths of one GW(law) bush rooted at
-    `level` and truncated at `depth`."""
-    budget.spend()
-    depths.append(level)
-    if level == depth:
-        degs.append(0)
-        return
-    k = rng.offspring(law)
-    degs.append(k)
-    for _ in range(k):
-        _grow_plain(law, rng, level + 1, depth, budget, degs, depths)
-
-
 def _materialize(
     branch: Callable[[int], tuple],
     law: OffspringParams,
@@ -301,32 +279,33 @@ def _materialize(
 
     Each survivor short of the horizon gets (degree, surviving child
     positions) from branch(level); preorder meets the survivors of a level
-    left to right. Every other child grows a mirrored-law bush. Preorder
-    fixes the order of every draw made on the way, and each node's depth
-    is recorded as its degree is, so the tree needs no validation walk.
+    left to right. Every other node draws its degree from the mirrored law.
+    Nodes wait on one stack as (level, survivor?) with the leftmost child
+    on top, so pops follow preorder, which fixes the order of every draw;
+    children are paid for as they are pushed, so the stack never outgrows
+    the budget. Each node's depth is recorded with its degree, so the tree
+    needs no validation walk.
     """
     degs: list[int] = []
     depths: list[int] = []
     flags: list[str] = []
-
-    def visit(level: int) -> None:
-        budget.spend()
-        flags.append("1")
+    budget.spend()
+    stack = [(0, True)]
+    while stack:
+        level, survivor = stack.pop()
+        flags.append("1" if survivor else "0")
         depths.append(level)
         if level == depth:
             degs.append(0)
-            return
-        k, spos = branch(level)
+            continue
+        if survivor:
+            k, spos = branch(level)
+            stack.extend((level + 1, i in spos) for i in range(k - 1, -1, -1))
+        else:
+            k = rng.offspring(law)
+            stack.extend([(level + 1, False)] * k)
         degs.append(k)
-        for i in range(k):
-            if i in spos:
-                visit(level + 1)
-            else:
-                start = len(degs)
-                _grow_plain(law, rng, level + 1, depth, budget, degs, depths)
-                flags.append("0" * (len(degs) - start))
-
-    visit(0)
+        budget.spend(k)
     return TypedTree(OrderedTree._trusted(tuple(degs), tuple(depths)), "".join(flags))
 
 
@@ -387,8 +366,8 @@ def sample_poisson_tree(
     and scatters those children uniformly. Extinction nodes grow plain
     bushes on the mirrored law.
     """
-    if not theta > 0.0:
-        raise ValidationError(f"theta must be > 0, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ValidationError(f"theta must be finite and > 0, got {theta}")
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)
@@ -446,21 +425,19 @@ def _condensation_inhom(
     laws = {m: condensation_offspring_params(p, m) for m in range(1, depth)}
     degs = [k0]
     depths = [0]
-
-    def node(m: int) -> None:
-        budget.spend()
+    budget.spend(1 + k0)
+    # levels of the nodes still to grow, the next in preorder on top
+    stack = [1] * k0
+    while stack:
+        m = stack.pop()
         depths.append(m)
         if m == depth:
             degs.append(0)
-            return
+            continue
         k = rng.offspring(laws[m])
         degs.append(k)
-        for _ in range(k):
-            node(m + 1)
-
-    budget.spend()
-    for _ in range(k0):
-        node(1)
+        budget.spend(k)
+        stack.extend([m + 1] * k)
     return OrderedTree._trusted(tuple(degs), tuple(depths))
 
 

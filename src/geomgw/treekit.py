@@ -228,14 +228,34 @@ MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 def _fold(items, d: int, acc, step) -> Iterator[list]:
     """`acc` folded by `step` over the slots of every d-fold product of
     `items`, left to right, in itertools.product order: the one product
-    loop every enumeration goes through. The walk is depth-first and
-    rows that share a prefix share its partial fold, so each row pays
-    only for its last slot. Yields one list per (d-1)-slot prefix."""
-    if d <= 1:
-        yield [step(acc, x) for x in items] if d else [acc]
+    loop every enumeration goes through. An odometer walks the (d-1)-slot
+    prefixes and keeps each prefix's partial folds, so rows that share a
+    prefix share its fold and each row pays only for its last slot.
+    Yields one list per (d-1)-slot prefix."""
+    if d == 0:
+        yield [acc]
         return
-    for x in items:
-        yield from _fold(items, d - 1, step(acc, x), step)
+    if not items:
+        return
+    last = len(items) - 1
+    # idx: the prefix as item indices; folds[j]: acc folded over its first
+    # j slots, valid below slot `fresh`
+    idx = [0] * (d - 1)
+    folds = [acc] * d
+    fresh = 0
+    while True:
+        for j in range(fresh, d - 1):
+            folds[j + 1] = step(folds[j], items[idx[j]])
+        yield [step(folds[-1], x) for x in items]
+        # the rightmost slot short of the last item moves on, and the
+        # slots right of it restart at the first
+        fresh = d - 2
+        while fresh >= 0 and idx[fresh] == last:
+            idx[fresh] = 0
+            fresh -= 1
+        if fresh < 0:
+            return
+        idx[fresh] += 1
 
 
 def fold_shapes(
@@ -253,11 +273,11 @@ def fold_shapes(
     annotated once by `annotate`; a tree whose root has degree d over the
     pool entries s1..sd is step(...step(start(d), annotate(s1))...,
     annotate(sd)). Yields lists of folds. Raises ResourceError before
-    touching any pool if the count, which is exact, exceeds max_trees."""
-    n = count_trees(height, degree_cap, root_degree=root_degree)
+    touching any pool if the count exceeds max_trees."""
+    n = _count(height, degree_cap, root_degree, max_trees)
     if n > max_trees:
         raise ResourceError(
-            f"enumeration would produce {n} trees, above the cap of {max_trees}"
+            f"enumeration would produce more than the cap of {max_trees} trees"
         )
     if root_degree is None:
         roots = range(degree_cap + 1)
@@ -309,6 +329,16 @@ def count_trees(
     Root degree pinned to d:  1 if d == 0, else N(h-1)^d (0 at h = 0 or
     d > D). Exact integers.
     """
+    return _count(height, degree_cap, root_degree, math.inf)
+
+
+def _count(height: int, degree_cap: int, root_degree: int | None, limit) -> int:
+    """count_trees, except that a count above `limit` comes back as
+    limit + 1. The recurrence never decreases from one level to the next,
+    and a pinned root's power of N(h-1) is at least N(h-1), so once a
+    partial sum passes the limit the count does too: the comparison with
+    the limit stays exact without forming the exact count, whose digits
+    double with each level."""
     if height < 0 or degree_cap < 0:
         raise ValidationError("height and degree_cap must be >= 0")
     if root_degree is not None and root_degree > degree_cap:
@@ -317,10 +347,15 @@ def count_trees(
         return 1
     n = 1
     for _ in range(height if root_degree is None else height - 1):
-        n = sum(n**d for d in range(degree_cap + 1))
-    if root_degree is None:
-        return n
-    return n**root_degree if height > 0 else 0
+        total = 0
+        for d in range(degree_cap + 1):
+            total += n**d
+            if total > limit:
+                return limit + 1
+        n = total
+    if root_degree is not None:
+        n = n**root_degree if height > 0 else 0
+    return n if n <= limit else limit + 1
 
 
 def enumerate_trees(

@@ -162,6 +162,26 @@ def test_law_argument_contract(capsys, regime, extra, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--regime", "poisson", "--theta", "nan"),
+        ("--regime", "poisson", "--theta", "inf"),
+        ("--regime", "poisson", "--theta", "nan", "--k0", "1"),
+        ("--regime", "gw", "--height", "16"),
+    ],
+    ids=["theta-nan", "theta-inf", "theta-nan-restricted", "above-the-shape-cap"],
+)
+def test_law_bad_values_are_errors(capsys, extra):
+    code, out, err = run(
+        capsys, "law", "--eta", "0.5", "--q", "0.5", "--height", "1",
+        "--degree-cap", "2", *extra,
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_law_rejects_bad_offspring_parameters(capsys):
     argv = list(KESTEN_LAW_ARGS)
     argv[argv.index("--eta") + 1] = "1.5"
@@ -286,6 +306,25 @@ def test_sample_at_eta_one_names_eta(capsys, extra):
     assert err == "error: extinction needs eta < 1, got eta=1.0\n"
 
 
+def test_sample_poisson_infinite_theta_is_an_error(capsys):
+    code, out, err = run(capsys, *sample_args("poisson", 1, "--theta", "inf"))
+    assert code == 1
+    assert err == "error: theta must be finite and > 0, got inf\n"
+
+
+def test_sample_deeper_than_the_recursion_limit(capsys):
+    code, out, err = run(
+        capsys, "sample", "--regime", "kesten", "--eta", "0.3", "--q", "0.5",
+        "--height", "1500", "--samples", "1",
+    )
+    assert code == 0, err
+    header, row = out.splitlines()
+    code_text, flags = row.strip('"').split('","')
+    # the spine: one survivor on each of the 1,501 levels
+    assert flags.count("1") == 1501
+    assert len(flags) == len(code_text.split(","))
+
+
 # sampler output pinned across changes: a refactor of any sampler must keep
 # every draw and its order, so these bytes may not move
 PINNED_SAMPLES = [
@@ -407,6 +446,19 @@ def test_converge_theta_mode(tmp_path, capsys):
         "theta,gap_kesten,tv_kesten,gap_condensation,tv_condensation"
     )
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("entry", [0.0, math.nan], ids=["zero", "nan"])
+def test_converge_bad_theta_grid_is_an_error(tmp_path, capsys, entry):
+    cfg = tiny_config(tmp_path, theta_grid=[0.5, entry])
+    out_svg = tmp_path / "theta.svg"
+    code, out, err = run(
+        capsys, "converge", "--config", cfg, "--mode", "theta",
+        "--out", str(tmp_path / "theta.csv"), "--svg", str(out_svg),
+    )
+    assert code == 1
+    assert err.startswith("error: theta_grid entry must be finite and > 0")
+    assert not out_svg.exists()
 
 
 def test_converge_missing_config(capsys):

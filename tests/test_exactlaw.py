@@ -651,6 +651,21 @@ def test_oversized_family_fails_before_any_walk():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("h", [16, 40])
+def test_cap_check_at_great_heights_stays_cheap(h):
+    # the exact count has about 2^h bits; the check stops counting once
+    # it passes the cap
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="more than the cap of 5000000"):
+        gw_family(CRIT, h, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wide_root_within_the_cap():
+    # one product slot per root child: 1,200 slots, 1,201 balls
+    assert len(gw_family(CRIT, 1, 1200).entries) == 1201
+
+
 # -- the tabulated-law container --------------------------------------------
 
 
@@ -677,8 +692,9 @@ def test_law_csv_layout():
 
 
 def test_normalize_check_rejects_excess_mass():
-    law = TruncatedLaw(
-        entries={"0": 0.1}, log_residual=-math.inf, meta={"law": "bogus"}
-    )
-    with pytest.raises(CertificationError):
-        law_normalize_check(law)
+    for entries in ({"0": 0.1}, {"0": -1.0, "1,0": math.nan}):
+        law = TruncatedLaw(
+            entries=entries, log_residual=-math.inf, meta={"law": "bogus"}
+        )
+        with pytest.raises(CertificationError):
+            law_normalize_check(law)

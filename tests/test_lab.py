@@ -93,6 +93,11 @@ def test_config_rejects_non_object():
         {"degree_cap": 0},
         {"k0": 0},
         {"theta": 0.0},
+        {"theta": math.inf},
+        {"theta": math.nan},
+        {"theta_grid": (0.5, 0.0)},
+        {"theta_grid": (math.nan,)},
+        {"theta_grid": (math.inf,)},
         {"a_rule": "linear"},
         {"a_rule": "const", "a_const": 0},
     ],

@@ -250,8 +250,9 @@ def test_poisson_law(lam):
 
 def test_poisson_corners():
     assert RandomSource(1).poisson(0.0) == 0
-    with pytest.raises(ValidationError):
-        RandomSource(1).poisson(-1.0)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            RandomSource(1).poisson(lam)
 
 
 # -- combinatorial draws -----------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact samplers: determinism, structural audits, and law agreement."""
 
 import hashlib
+import inspect
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -398,10 +400,9 @@ def test_poisson_full_law_supercritical():
 
 
 def test_poisson_rejects_bad_theta():
-    with pytest.raises(ValidationError):
-        sample_poisson_tree(CRIT, 0.0, RandomSource(1), 2)
-    with pytest.raises(ValidationError):
-        sample_poisson_tree(CRIT, -1.0, RandomSource(1), 2)
+    for theta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            sample_poisson_tree(CRIT, theta, RandomSource(1), 2)
 
 
 # -- condensation sampler ----------------------------------------------------
@@ -491,6 +492,40 @@ def test_condensation_validation():
         sample_condensation(CRIT, 2, r, 0)
     with pytest.raises(ValidationError):
         sample_condensation(CRIT, 2, r, 2, "spectral")
+
+
+# -- trees deeper than the interpreter's recursion limit ---------------------
+
+# eta = q close to 1 is critical with little offspring variance, so the
+# condensation trees stay a few thousand nodes deep into level 300
+NEAR_LINE = OffspringParams(0.999, 0.999)
+
+
+@pytest.mark.parametrize(
+    "draw,audit",
+    [
+        (lambda r: sample_kesten(SUB, r, 300), audit_spine),
+        (lambda r: sample_poisson_tree(CRIT, 1e-9, r, 300), audit_skeleton),
+        (
+            lambda r: sample_condensation(NEAR_LINE, 1, r, 300),
+            lambda tt, h: audit_skeleton(tt, h, allow_barren_root=True),
+        ),
+        (lambda r: sample_condensation(NEAR_LINE, 1, r, 300, "inhomogeneous"), None),
+    ],
+    ids=["kesten", "poisson", "two_type", "inhomogeneous"],
+)
+def test_typed_samplers_grow_past_the_recursion_limit(draw, audit):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = draw(RandomSource(3))
+    finally:
+        sys.setrecursionlimit(limit)
+    tree = got if audit is None else got.tree
+    assert tree.height == 300
+    assert tree.depths == OrderedTree(tree.degrees).depths
+    if audit is not None:
+        audit(got, 300)
 
 
 # -- trees built without a validation walk -----------------------------------
