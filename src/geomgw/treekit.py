@@ -228,34 +228,29 @@ MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 def _fold(items, d: int, acc, step) -> Iterator[list]:
     """`acc` folded by `step` over the slots of every d-fold product of
     `items`, left to right, in itertools.product order: the one product
-    loop every enumeration goes through. An odometer walks the (d-1)-slot
-    prefixes and keeps each prefix's partial folds, so rows that share a
-    prefix share its fold and each row pays only for its last slot.
-    Yields one list per (d-1)-slot prefix."""
-    if d == 0:
-        yield [acc]
+    loop every enumeration goes through. An odometer with one wheel per
+    slot of the (d-1)-slot prefix walks the prefixes and keeps each one's
+    partial fold, so rows that share a prefix share its fold and each row
+    pays only for its last slot. Yields one list per prefix."""
+    if d <= 1:
+        yield [step(acc, x) for x in items] if d else [acc]
         return
-    if not items:
-        return
-    last = len(items) - 1
-    # idx: the prefix as item indices; folds[j]: acc folded over its first
-    # j slots, valid below slot `fresh`
-    idx = [0] * (d - 1)
-    folds = [acc] * d
-    fresh = 0
-    while True:
-        for j in range(fresh, d - 1):
-            folds[j + 1] = step(folds[j], items[idx[j]])
-        yield [step(folds[-1], x) for x in items]
-        # the rightmost slot short of the last item moves on, and the
-        # slots right of it restart at the first
-        fresh = d - 2
-        while fresh >= 0 and idx[fresh] == last:
-            idx[fresh] = 0
-            fresh -= 1
-        if fresh < 0:
-            return
-        idx[fresh] += 1
+    # wheels[j]: the items slot j has still to take; folds[j]: acc folded
+    # over the slots before j
+    wheels = [iter(items)]
+    folds = [acc]
+    while wheels:
+        for x in wheels[-1]:
+            fold = step(folds[-1], x)
+            if len(wheels) == d - 1:
+                yield [step(fold, y) for y in items]
+            else:
+                wheels.append(iter(items))
+                folds.append(fold)
+                break
+        else:
+            wheels.pop()
+            folds.pop()
 
 
 def fold_shapes(
