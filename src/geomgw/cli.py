@@ -127,6 +127,10 @@ def _build_sampler(args: argparse.Namespace):
     """The sampler behind `geomgw sample`, as a function of the draw's rng."""
     p = _params(args)
     h = args.height
+    if args.k0 is not None and args.regime != "condensation":
+        raise ValidationError(
+            f"the {args.regime} sampler draws whole balls; --k0 is for condensation"
+        )
     if args.regime == "gw":
         return lambda rng: sample_gw(p, rng, h)
     if args.regime == "conditioned":

@@ -15,8 +15,9 @@ probability unless the name says otherwise. The laws implemented:
 
 Each ball law is the plain ball mass times a weight of the ball's bottom
 width k = Z_h alone. Every law has exactly one weight function of
-(p, h, k); its per-tree law adds it to gw_tree_log_prob and its tables
-go through the one tabulator, _tabulate.
+(p, h, k); its per-tree law adds it to gw_tree_log_prob, and one record
+per law (_Law) carries it to both its family and its restricted view,
+whose tables go through the one tabulator, _tabulate.
 
 For root-degree-truncated balls the laws of the conditioned and skinny
 trees need an infinite series over the unobserved sibling subtrees; it
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
@@ -225,6 +227,11 @@ def _mixing_base(p: OffspringParams, h: int) -> float:
     return mu**h * (1.0 - kappa) ** 2
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta < math.inf:
+        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
+
+
 def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> float:
     """log of the skinny-family weight at radius h and bottom width k.
 
@@ -237,8 +244,7 @@ def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> floa
     """
     if h < 0:
         raise ValidationError(f"radius must be >= 0, got {h}")
-    if not 0.0 <= theta < math.inf:
-        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
+    _check_theta(theta)
     if k < 0:
         raise ValidationError(f"ball width must be >= 0, got {k}")
     if k == 0:
@@ -640,32 +646,72 @@ def _tabulate(rows, weight) -> dict[str, float]:
     return entries
 
 
-def _finalize(entries: dict[str, float], meta: dict[str, str]) -> TruncatedLaw:
+def _finalize(
+    p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict, entries: dict
+) -> TruncatedLaw:
+    meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
+            "degree_cap": str(degree_cap), **params}
     law = TruncatedLaw(entries=entries, log_residual=LOG_ZERO, meta=meta)
     law.log_residual = log_sub(0.0, law_normalize_check(law))
     return law
 
 
-def _base_meta(
-    p: OffspringParams, kind: str, h: int, degree_cap: int, **extra: str
-) -> dict[str, str]:
-    return {
-        "eta": repr(p.eta),
-        "q": repr(p.q),
-        "law": kind,
-        "h": str(h),
-        "degree_cap": str(degree_cap),
-        **extra,
-    }
+@dataclass(frozen=True)
+class _Law:
+    """One ball law, read by both its family and its (h, k0) view: the log
+    width weight, the pinned root degree of its support (None: free), the
+    hidden-sibling series k -> log T(k) over a list of widths, and its meta
+    entries beyond eta, q, law, h and degree_cap. The callables look their
+    functions up by module name at call time, so a wrapper installed on
+    this module sees every call."""
+
+    kind: str
+    weight: Callable[[int], float]
+    params: dict[str, str] = field(default_factory=dict)
+    root_degree: int | None = None
+    sibling_sum: Callable[[list[int]], dict[int, float]] | None = None
+
+
+def _conditioned(p: OffspringParams, n: int, a: int, h: int) -> _Law:
+    if not 1 <= h <= n:
+        raise ValidationError("need 1 <= h <= n")
+    return _Law("conditioned", lambda k: size_conditioning_ratio(p, n, h, k, a),
+                {"n": str(n), "a": str(a)},
+                sibling_sum=lambda ks: _sibling_sum_conditioned(p, n, a, h, ks))
+
+
+def _kesten(p: OffspringParams, h: int) -> _Law:
+    return _Law("kesten", lambda k: _log_kesten_weight(p, h, k),
+                sibling_sum=lambda ks: _sibling_sum_kesten(p, h, ks))
+
+
+def _poisson(p: OffspringParams, h: int, theta: float) -> _Law:
+    return _Law("poisson", lambda k: log_poisson_weight(p, h, k, theta),
+                {"theta": repr(float(theta))},
+                sibling_sum=lambda ks: _sibling_sum_poisson(p, h, theta, ks))
+
+
+def _check_view(h: int, k0: int) -> None:
+    """The range check of every (h, k0)-ball law."""
+    if h < 1 or k0 < 1:
+        raise ValidationError("need h >= 1 and k0 >= 1")
+
+
+def _family(
+    p: OffspringParams, h: int, degree_cap: int, law: _Law, lowest: int = 1
+) -> TruncatedLaw:
+    """The law tabulated over every ball shape of its support with height
+    <= h and degrees <= degree_cap; lowest is the smallest radius."""
+    if h < lowest:
+        raise ValidationError(f"radius must be >= {lowest}")
+    entries = _tabulate(_skeleton(p, h, degree_cap, law.root_degree), law.weight)
+    return _finalize(p, h, degree_cap, law.kind, law.params, entries)
 
 
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     """Radius-h ball law of the plain branching tree, tabulated over every
     ball shape with height <= h and degrees <= degree_cap."""
-    if h < 0:
-        raise ValidationError("radius must be >= 0")
-    entries = _tabulate(_skeleton(p, h, degree_cap, None), lambda k: 0.0)
-    return _finalize(entries, _base_meta(p, "gw", h, degree_cap))
+    return _family(p, h, degree_cap, _Law("gw", lambda k: 0.0), lowest=0)
 
 
 def conditioned_family(
@@ -673,39 +719,19 @@ def conditioned_family(
 ) -> TruncatedLaw:
     """Radius-h ball law of the tree conditioned on generation-n size a,
     tabulated over every ball shape with degrees <= degree_cap."""
-    if not 1 <= h <= n:
-        raise ValidationError("need 1 <= h <= n")
-    entries = _tabulate(
-        _skeleton(p, h, degree_cap, None),
-        lambda k: size_conditioning_ratio(p, n, h, k, a),
-    )
-    meta = _base_meta(p, "conditioned", h, degree_cap, n=str(n), a=str(a))
-    return _finalize(entries, meta)
+    return _family(p, h, degree_cap, _conditioned(p, n, a, h))
 
 
 def kesten_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     """Radius-h ball law of the size-biased eternal tree, tabulated."""
-    if h < 1:
-        raise ValidationError("radius must be >= 1")
-    entries = _tabulate(
-        _skeleton(p, h, degree_cap, None),
-        lambda k: _log_kesten_weight(p, h, k),
-    )
-    return _finalize(entries, _base_meta(p, "kesten", h, degree_cap))
+    return _family(p, h, degree_cap, _kesten(p, h))
 
 
 def poisson_family(
     p: OffspringParams, h: int, theta: float, degree_cap: int
 ) -> TruncatedLaw:
     """Radius-h ball law of the theta-member of the skinny limit family."""
-    if h < 1:
-        raise ValidationError("radius must be >= 1")
-    entries = _tabulate(
-        _skeleton(p, h, degree_cap, None),
-        lambda k: log_poisson_weight(p, h, k, theta),
-    )
-    meta = _base_meta(p, "poisson", h, degree_cap, theta=repr(float(theta)))
-    return _finalize(entries, meta)
+    return _family(p, h, degree_cap, _poisson(p, h, theta))
 
 
 def condensation_family(
@@ -714,26 +740,16 @@ def condensation_family(
     """(h, k0)-ball law of the fat limit tree, tabulated. The support is
     every ball with root degree exactly k0 and height <= h, dying
     truncations included."""
-    if h < 1 or k0 < 1:
-        raise ValidationError("need h >= 1 and k0 >= 1")
-    entries = _tabulate(
-        _skeleton(p, h, degree_cap, k0),
-        lambda k: _log_condensation_weight(p, h, k),
-    )
-    meta = _base_meta(p, "condensation", h, degree_cap, k0=str(k0))
-    return _finalize(entries, meta)
+    _check_view(h, k0)
+    law = _Law("condensation", lambda k: _log_condensation_weight(p, h, k),
+               {"k0": str(k0)}, root_degree=k0)
+    return _family(p, h, degree_cap, law)
 
 
 def _restricted_family(
-    p: OffspringParams,
-    h: int,
-    k0: int,
-    degree_cap: int,
-    weight,
-    sibling_sum,
-    meta: dict[str, str],
+    p: OffspringParams, h: int, k0: int, degree_cap: int, law: _Law
 ) -> TruncatedLaw:
-    """Shared scaffolding for (h, k0)-ball laws of the weighted trees.
+    """The (h, k0)-ball law of a weighted tree.
 
     Balls with root degree j < k0 keep all root subtrees, so their law is
     the plain weighted one (and only full-height balls carry mass). Balls
@@ -745,10 +761,9 @@ def _restricted_family(
     with g >= 0 the gap P(ball of one subtree dies by h) - P(no subtree),
     and T(k) the weighted hidden-sibling series.
     """
-    if h < 1 or k0 < 1:
-        raise ValidationError("need h >= 1 and k0 >= 1")
+    _check_view(h, k0)
     # the blocks share widths: evaluate each width's weight once per build
-    weight = cache(weight)
+    weight = cache(law.weight)
     entries: dict[str, float] = {}
     for j in range(1, k0):
         entries.update(_tabulate(_skeleton(p, h, degree_cap, j), weight))
@@ -756,7 +771,7 @@ def _restricted_family(
     # weights before the series, so a weight's own check (Kesten: eta < 1)
     # is the error a caller sees
     own = {k: weight(k) for k in sorted({k for _, _, k in skel})}
-    t_table = sibling_sum(list(own))
+    t_table = law.sibling_sum(list(own))
     log_cq = _log_fat_constant(p)
     if h > 1 and p.kappa > 0.0:
         gap = p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
@@ -766,55 +781,32 @@ def _restricted_family(
     entries.update(_tabulate(
         skel, lambda k: log_add(own[k] + log_own, log_cq + t_table[k])
     ))
-    return _finalize(entries, meta)
+    params = {"k0": str(k0), **law.params}
+    return _finalize(p, h, degree_cap, law.kind + "-restricted", params, entries)
 
 
 def kesten_restricted_family(
     p: OffspringParams, h: int, k0: int, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the size-biased eternal tree."""
-    return _restricted_family(
-        p, h, k0, degree_cap,
-        lambda k: _log_kesten_weight(p, h, k),
-        lambda ks: _sibling_sum_kesten(p, h, ks),
-        _base_meta(p, "kesten-restricted", h, degree_cap, k0=str(k0)),
-    )
+    return _restricted_family(p, h, k0, degree_cap, _kesten(p, h))
 
 
 def poisson_restricted_family(
     p: OffspringParams, h: int, k0: int, theta: float, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the theta-member of the skinny limit family."""
-    if not 0.0 <= theta < math.inf:
-        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
+    _check_theta(theta)
     if p.eta >= 1.0:
         raise ValidationError(
             "the restricted view of the skinny family needs eta < 1 "
             f"(hidden root subtrees must be able to die out), got eta={p.eta!r}"
         )
-    return _restricted_family(
-        p, h, k0, degree_cap,
-        lambda k: log_poisson_weight(p, h, k, theta),
-        lambda ks: _sibling_sum_poisson(p, h, theta, ks),
-        _base_meta(
-            p, "poisson-restricted", h, degree_cap,
-            k0=str(k0), theta=repr(float(theta)),
-        ),
-    )
+    return _restricted_family(p, h, k0, degree_cap, _poisson(p, h, theta))
 
 
 def conditioned_restricted_family(
     p: OffspringParams, n: int, a: int, h: int, k0: int, degree_cap: int
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the tree conditioned on generation-n size a."""
-    if not 1 <= h <= n:
-        raise ValidationError("need 1 <= h <= n")
-    return _restricted_family(
-        p, h, k0, degree_cap,
-        lambda k: size_conditioning_ratio(p, n, h, k, a),
-        lambda ks: _sibling_sum_conditioned(p, n, a, h, ks),
-        _base_meta(
-            p, "conditioned-restricted", h, degree_cap,
-            k0=str(k0), n=str(n), a=str(a),
-        ),
-    )
+    return _restricted_family(p, h, k0, degree_cap, _conditioned(p, n, a, h))

@@ -200,26 +200,35 @@ class RandomSource:
             n += self.geometric0(q)
         return n
 
-    def poisson(self, lam: float) -> int:
+    def poisson(self, lam: float, *, limit: float = math.inf) -> int:
         """Poisson by cdf inversion, splitting large means exactly through
         additivity (a Poisson sum of halves is Poisson) so no normal
-        approximation ever enters."""
+        approximation ever enters. The halves wait on an explicit stack and
+        are drawn left half first. Once the running total passes `limit`
+        the draw stops there and returns that total: a value above limit,
+        which says only that the full draw exceeds it."""
         if not 0.0 <= lam < math.inf:
             raise ValidationError(f"Poisson mean must be finite and >= 0, got {lam}")
         if lam == 0.0:
             return 0
-        if lam > 30.0:
-            half = lam / 2.0
-            return self.poisson(half) + self.poisson(lam - half)
-        u = self.uniform()
-        k = 0
-        term = math.exp(-lam)
-        cum = term
-        while u >= cum and k < 400:
-            k += 1
-            term *= lam / k
-            cum += term
-        return k
+        total = 0
+        stack = [lam]
+        while stack and total <= limit:
+            lam = stack.pop()
+            if lam > 30.0:
+                half = lam / 2.0
+                stack += (lam - half, half)
+                continue
+            u = self.uniform()
+            k = 0
+            term = math.exp(-lam)
+            cum = term
+            while u >= cum and k < 400:
+                k += 1
+                term *= lam / k
+                cum += term
+            total += k
+        return total
 
     def positive_composition(self, total: int, parts: int) -> list[int]:
         """Uniform ordered composition of `total` into `parts` positive

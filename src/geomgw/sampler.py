@@ -372,12 +372,20 @@ def sample_poisson_tree(
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)
     qhat = ext.law.q
+    # the skeleton's nodes are nodes of the tree: count them as they come
+    budget = _Budget(max_nodes)
+    budget.spend()
     skeleton = []
     width = 1
     for h in range(depth):
-        delta = rng.poisson(theta * immigration_rate(p, h))
+        # more new survivors than the cap cannot fit, so stop counting there
+        delta = rng.poisson(theta * immigration_rate(p, h), limit=max_nodes)
+        # the next level's survivors first, then their extinct siblings
+        budget.spend(width + delta)
         counts = rng.positive_composition(width + delta, width)
-        skeleton.append([_scatter(s, qhat, rng) for s in counts])
+        level = [_scatter(s, qhat, rng) for s in counts]
+        budget.spend(sum(k for k, _ in level) - width - delta)
+        skeleton.append(level)
         width += delta
     return _materialize(
         _skeleton_branch(skeleton), ext.law, rng, depth, _Budget(max_nodes)
@@ -447,11 +455,15 @@ def _condensation_two_type(
     ext = extinction_params(p)
     qhat = ext.law.q
     root_surv = frozenset(i for i in range(k0) if rng.uniform() < qhat)
+    # the skeleton's nodes are nodes of the tree: count them as they come
+    drawn = _Budget(budget.cap)
+    drawn.spend(1 + k0)
     skeleton = [[(k0, root_surv)]]
     width = len(root_surv)
     for h in range(1, depth):
         nu = survivor_offspring_param(p, h)
         level = [_scatter(rng.geometric_pos(nu), qhat, rng) for _ in range(width)]
+        drawn.spend(sum(k for k, _ in level))
         skeleton.append(level)
         width = sum(len(spos) for _, spos in level)
     return _materialize(_skeleton_branch(skeleton), ext.law, rng, depth, budget)

@@ -228,29 +228,19 @@ MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 def _fold(items, d: int, acc, step) -> Iterator[list]:
     """`acc` folded by `step` over the slots of every d-fold product of
     `items`, left to right, in itertools.product order: the one product
-    loop every enumeration goes through. An odometer with one wheel per
-    slot of the (d-1)-slot prefix walks the prefixes and keeps each one's
-    partial fold, so rows that share a prefix share its fold and each row
-    pays only for its last slot. Yields one list per prefix."""
-    if d <= 1:
-        yield [step(acc, x) for x in items] if d else [acc]
+    loop every enumeration goes through. The (d-1)-slot prefixes are folded
+    slot by slot, each once, so rows that share a prefix share its fold
+    and each row pays only for its last slot. Yields one list per prefix;
+    at most len(items)^(d-1) prefix folds, the rows over the pool size,
+    are held at once."""
+    if d == 0:
+        yield [acc]
         return
-    # wheels[j]: the items slot j has still to take; folds[j]: acc folded
-    # over the slots before j
-    wheels = [iter(items)]
     folds = [acc]
-    while wheels:
-        for x in wheels[-1]:
-            fold = step(folds[-1], x)
-            if len(wheels) == d - 1:
-                yield [step(fold, y) for y in items]
-            else:
-                wheels.append(iter(items))
-                folds.append(fold)
-                break
-        else:
-            wheels.pop()
-            folds.pop()
+    for _ in range(d - 1):
+        folds = [step(f, x) for f in folds for x in items]
+    for f in folds:
+        yield [step(f, y) for y in items]
 
 
 def fold_shapes(

@@ -248,9 +248,12 @@ def test_sample_missing_conditioning(capsys):
         ("condensation", 2, ("--k0", "0")),
         ("kesten", -1, ()),
         ("poisson", 2, ("--theta", "inf")),
+        ("poisson", 2, ("--theta", "1e300")),
+        ("kesten", 2, ("--k0", "1")),
     ],
     ids=["conditioned-no-draws", "poisson-needs-theta", "kesten-negative-height",
-         "condensation-zero-k0", "negative-samples", "poisson-infinite-theta"],
+         "condensation-zero-k0", "negative-samples", "poisson-infinite-theta",
+         "poisson-huge-theta", "kesten-k0"],
 )
 def test_sample_checks_options_before_writing(
     tmp_path, capsys, regime, samples, extra

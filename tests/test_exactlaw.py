@@ -470,6 +470,18 @@ def test_restricted_family_meta():
     assert law.meta["law"] == "conditioned-restricted"
     assert law.meta["n"] == "7"
     assert law.meta["a"] == "9"
+    # each view's meta is its family's, with k0 and the -restricted suffix
+    for view, family, k0 in [
+        (poisson_restricted_family(CRIT, 2, 2, 0.7, 4),
+         poisson_family(CRIT, 2, 0.7, 4), 2),
+        (conditioned_restricted_family(CRIT, 7, 9, 2, 2, 4),
+         conditioned_family(CRIT, 7, 9, 2, 4), 2),
+        (kesten_restricted_family(SUB, 2, 3, 3), kesten_family(SUB, 2, 3), 3),
+    ]:
+        meta = family.meta
+        assert view.meta == {
+            **meta, "law": meta["law"] + "-restricted", "k0": str(k0)
+        }
 
 
 def test_restricted_family_supports_root_degrees_up_to_k0():

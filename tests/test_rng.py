@@ -233,7 +233,7 @@ def test_size_biased_total_rejects_zero_lines():
 
 @pytest.mark.parametrize("lam", [3.7, 130.0], ids=["inversion", "halving"])
 def test_poisson_law(lam):
-    # lam = 130 goes through the recursive exact-additivity split
+    # lam = 130 goes through the exact-additivity halving
     r = RandomSource(577)
     draws = 30_000
     counts = Counter(r.poisson(lam) for _ in range(draws))
@@ -253,6 +253,20 @@ def test_poisson_corners():
     for lam in (-1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             RandomSource(1).poisson(lam)
+
+
+def test_poisson_halving_draws_are_pinned():
+    # the G-test above does not fix the order the halves are drawn in; these
+    # draws do (left half first, down to means of at most 30)
+    assert [RandomSource(s).poisson(130.0) for s in range(6)] == [
+        128, 138, 118, 115, 139, 120]
+    r = RandomSource(7)
+    assert [r.poisson(1e5) for _ in range(3)] == [100020, 100061, 100298]
+
+
+def test_poisson_stops_past_its_limit():
+    # a full draw at this mean would take about 4e10 inversions
+    assert RandomSource(1).poisson(1e12, limit=1000) > 1000
 
 
 # -- combinatorial draws -----------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -196,6 +197,29 @@ def test_every_sampler_enforces_its_node_cap(draw, cap):
     for seed in range(5):
         with pytest.raises(ResourceError, match=f"exceeded the {cap}-node cap"):
             draw(RandomSource(seed), cap)
+
+
+@pytest.mark.parametrize(
+    "draw,cap,cpu_s",
+    [
+        (lambda: sample_condensation(SUB, 3, RandomSource(2), 26, max_nodes=1000),
+         1000, 1.0),
+        (lambda: sample_poisson_tree(SUB, 1.0, RandomSource(2), 27, max_nodes=1000),
+         1000, 1.0),
+        # the immigration draw stops once it passes the cap instead of
+        # halving a mean of 1e300 down to draws of at most 30
+        (lambda: sample_poisson_tree(CRIT, 1e300, RandomSource(0), 2),
+         1_000_000, 2.0),
+    ],
+    ids=["two_type", "poisson", "poisson-huge-theta"],
+)
+def test_skeletons_stop_at_the_node_cap(draw, cap, cpu_s):
+    # each skeleton outgrows the cap within a few levels, so the draw must
+    # stop there: the whole depth-26 or depth-27 skeleton costs seconds
+    start = time.process_time()
+    with pytest.raises(ResourceError, match=f"exceeded the {cap}-node cap"):
+        draw()
+    assert time.process_time() - start < cpu_s
 
 
 def clear_scan_tables():
