@@ -64,15 +64,36 @@ from .sampler import (
 # the options each regime of `law` and `sample` needs beyond the shared ones
 REGIME_NEEDS = {"gw": (), "conditioned": ("n", "a"), "kesten": (),
                 "poisson": ("theta",), "condensation": ("k0",)}
+# per command, the options a regime reads without needing them: --k0 asks
+# `law` for a restricted view, --variant picks the condensation sampler
+REGIME_TAKES = {
+    "law": {"conditioned": ("k0",), "kesten": ("k0",), "poisson": ("k0",)},
+    "sample": {"condensation": ("variant",)},
+}
+# every regime option, with what it selects
+REGIME_OPTIONS = {"n": "the conditioning generation",
+                  "a": "the conditioning size",
+                  "theta": "the skinny-family member",
+                  "k0": "the restricted view",
+                  "variant": "the condensation sampler"}
 LAW_REGIMES = tuple(REGIME_NEEDS)
 
 
 def _params(args: argparse.Namespace) -> OffspringParams:
-    """The offspring law, once the regime's own options are all given."""
+    """The offspring law, once the regime's own options are all given and
+    no option it does not read is."""
     p = OffspringParams(args.eta, args.q)
-    for name in REGIME_NEEDS[args.regime]:
+    needs = REGIME_NEEDS[args.regime]
+    for name in needs:
         if getattr(args, name) is None:
             raise ValidationError(f"--{name} is required here")
+    reads = needs + REGIME_TAKES[args.command].get(args.regime, ())
+    for name, role in REGIME_OPTIONS.items():
+        if name not in reads and getattr(args, name, None) is not None:
+            raise ValidationError(
+                f"--{name} sets {role}, which `{args.command} --regime "
+                f"{args.regime}` does not read"
+            )
     return p
 
 
@@ -89,8 +110,6 @@ def _build_law(args: argparse.Namespace) -> TruncatedLaw:
     p = _params(args)
     h, cap, k0 = args.height, args.degree_cap, args.k0
     if args.regime == "gw":
-        if k0 is not None:
-            raise ValidationError("the plain law has no restricted view")
         return gw_family(p, h, cap)
     if args.regime == "conditioned":
         if k0 is None:
@@ -127,10 +146,6 @@ def _build_sampler(args: argparse.Namespace):
     """The sampler behind `geomgw sample`, as a function of the draw's rng."""
     p = _params(args)
     h = args.height
-    if args.k0 is not None and args.regime != "condensation":
-        raise ValidationError(
-            f"the {args.regime} sampler draws whole balls; --k0 is for condensation"
-        )
     if args.regime == "gw":
         return lambda rng: sample_gw(p, rng, h)
     if args.regime == "conditioned":
@@ -139,7 +154,8 @@ def _build_sampler(args: argparse.Namespace):
         return lambda rng: sample_kesten(p, rng, h)
     if args.regime == "poisson":
         return lambda rng: sample_poisson_tree(p, args.theta, rng, h)
-    return lambda rng: sample_condensation(p, args.k0, rng, h, variant=args.variant)
+    variant = args.variant or "two_type"
+    return lambda rng: sample_condensation(p, args.k0, rng, h, variant=variant)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -250,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--samples", type=int, default=1)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument(
-        "--variant", choices=("two_type", "inhomogeneous"), default="two_type"
+        "--variant", choices=("two_type", "inhomogeneous"),
+        help="condensation sampler (default two_type)",
     )
     smp.set_defaults(func=_cmd_sample)
 

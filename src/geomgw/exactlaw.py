@@ -30,7 +30,10 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import chain, compress, islice
+from operator import itemgetter, lt
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -527,22 +530,67 @@ def _sibling_sum_kesten(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _increasing(codes: tuple[str, ...]) -> bool:
+    """Whether the codes are in strictly increasing string order."""
+    return all(map(lt, codes, islice(codes, 1, None)))
+
+
 class TruncatedLaw:
     """A law tabulated over an enumerated set of tree codes.
 
-    entries maps the text code of each tree to its log probability;
-    log_residual bounds (in log space) the mass the table does not see,
-    i.e. 1 minus the tabulated total. meta records how the table was
-    built, and rides along in the CSV header comment.
+    The table is stored as two columns in one row order: codes, a tuple of
+    text tree codes, and log_probs, a read-only float64 array of their log
+    probabilities. A table built here from one shape table keeps that
+    table's code tuple whenever no shape drops out, and codes_sorted says
+    whether the codes are in string order. entries is the code -> log
+    probability dict in row order and probs the column of probabilities
+    (math.exp of each entry); both are derived from the columns on first
+    use and then kept. log_residual bounds (in log space) the mass the
+    table does not see, i.e. 1 minus the tabulated total. meta records how
+    the table was built, and rides along in the CSV header comment.
     """
 
-    entries: dict[str, float]
-    log_residual: float
-    meta: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self, entries: dict[str, float], log_residual: float, meta: dict | None = None
+    ) -> None:
+        codes = tuple(entries)
+        log_probs = np.fromiter(entries.values(), dtype=np.float64, count=len(codes))
+        self._set(codes, log_probs, _increasing(codes), log_residual, meta)
+
+    @classmethod
+    def _from_columns(
+        cls, codes: tuple[str, ...], log_probs: np.ndarray, codes_sorted: bool,
+        log_residual: float, meta: dict,
+    ) -> "TruncatedLaw":
+        law = cls.__new__(cls)
+        law._set(codes, log_probs, codes_sorted, log_residual, meta)
+        return law
+
+    def _set(self, codes, log_probs, codes_sorted, log_residual, meta) -> None:
+        log_probs.flags.writeable = False
+        self.codes = codes
+        self.log_probs = log_probs
+        self.codes_sorted = codes_sorted
+        self.log_residual = log_residual
+        self.meta = {} if meta is None else meta
+
+    @cached_property
+    def entries(self) -> dict[str, float]:
+        return dict(zip(self.codes, self.log_probs.tolist()))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        # libm's exp, one entry at a time: numpy's vectorized exp differs
+        # from it in the last bit on some inputs
+        out = np.fromiter(
+            map(math.exp, self.log_probs.tolist()), dtype=np.float64,
+            count=len(self.codes),
+        )
+        out.flags.writeable = False
+        return out
 
     def log_total(self) -> float:
-        return log_sum(self.entries.values())
+        return log_sum(self.log_probs)
 
     def write_csv(self, out) -> None:
         """Write the law to a text stream: one metadata comment line, a
@@ -552,8 +600,11 @@ class TruncatedLaw:
         parts.append(f"log_residual={self.log_residual!r}")
         out.write("# " + " ".join(parts) + "\n")
         out.write("tree_code,log_prob\n")
-        for code in sorted(self.entries):
-            out.write(f'"{code}",{self.entries[code]!r}\n')
+        rows = zip(self.codes, self.log_probs.tolist())
+        if not self.codes_sorted:
+            rows = sorted(rows, key=itemgetter(0))
+        for code, lp in rows:
+            out.write(f'"{code}",{lp!r}\n')
 
     @classmethod
     def read_csv(cls, fh) -> "TruncatedLaw":
@@ -588,16 +639,39 @@ def law_normalize_check(law: TruncatedLaw) -> float:
     return log_total
 
 
+class _Skeleton(NamedTuple):
+    """A shape table as columns, rows in code order: each ball's code, its
+    log ball mass (a read-only float64 array) and its bottom width (an int
+    array), plus the distinct widths in the order the rows first meet
+    them."""
+
+    codes: tuple[str, ...]
+    lgw: np.ndarray
+    width: np.ndarray
+    widths: tuple[int, ...]
+
+
+def _columns(rows: list[tuple[str, float, int]]) -> _Skeleton:
+    n = len(rows)
+    lgw = np.fromiter(map(itemgetter(1), rows), dtype=np.float64, count=n)
+    lgw.flags.writeable = False
+    width = np.fromiter(map(itemgetter(2), rows), dtype=np.intp, count=n)
+    distinct, first = np.unique(width, return_index=True)
+    widths = tuple(distinct[np.argsort(first)].tolist())
+    return _Skeleton(tuple(map(itemgetter(0), rows)), lgw, width, widths)
+
+
 # A single entry can hold millions of rows, and a rebuild is cheap next to
 # the laws built from it; the bundled sweeps and the benchmark workloads
 # use at most four distinct tables.
 @lru_cache(maxsize=8)
 def _skeleton(
     p: OffspringParams, h: int, degree_cap: int, root_degree: int | None
-) -> tuple[tuple[str, float, int], ...]:
+) -> _Skeleton:
     """(code, log ball mass, bottom width) for each ball shape of height
-    <= h, sorted by code. The expensive part of every family build, so
-    cached; the width weights drop the shapes that do not reach depth h.
+    <= h, sorted by code, as columns. The expensive part of every family
+    build, so cached; the width weights drop the shapes that do not reach
+    depth h.
 
     A ball is its root over a product of entries of the height-(h-1) pool.
     Each pool entry is annotated once with its code, the log_pmf terms of
@@ -606,7 +680,9 @@ def _skeleton(
     same order as a preorder walk over the whole ball would."""
     if h == 0:
         # the lone root: no node above depth 0, one node at it
-        return (("0", 0.0, 1),) * count_trees(0, degree_cap, root_degree=root_degree)
+        return _columns(
+            [("0", 0.0, 1)] * count_trees(0, degree_cap, root_degree=root_degree)
+        )
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
 
     def annotate(degs, depths):
@@ -628,30 +704,35 @@ def _skeleton(
         root_degree=root_degree,
     )
     rows = [row for block in blocks for row in block]
-    rows.sort(key=lambda r: r[0])
-    return tuple(rows)
+    rows.sort(key=itemgetter(0))
+    return _columns(rows)
 
 
-def _tabulate(rows, weight) -> dict[str, float]:
-    """code -> lgw + weight(k) over skeleton rows (code, lgw, k), evaluating
-    the weight once per width k and leaving out shapes of zero mass."""
-    weights: dict[int, float] = {}
-    entries: dict[str, float] = {}
-    for code, lgw, k in rows:
-        if k not in weights:
-            weights[k] = weight(k)
-        lp = lgw + weights[k]
-        if lp != LOG_ZERO:
-            entries[code] = lp
-    return entries
+def _tabulate(
+    skel: _Skeleton, weight: Callable[[int], float]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The codes and log-probs lgw + weight(k) over a shape table's rows,
+    evaluating the weight once per width k, in the order the rows first
+    meet the widths, and leaving out shapes of zero mass. Each log-prob is
+    one float add, as in a row-by-row loop. With no shape left out the
+    codes are the shape table's own tuple."""
+    table = np.empty(max(skel.widths, default=-1) + 1)
+    for k in skel.widths:
+        table[k] = weight(k)
+    log_probs = skel.lgw + table[skel.width]
+    keep = log_probs != LOG_ZERO
+    if keep.all():
+        return skel.codes, log_probs
+    return tuple(compress(skel.codes, keep.tolist())), log_probs[keep]
 
 
 def _finalize(
-    p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict, entries: dict
+    p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict,
+    codes: tuple[str, ...], log_probs: np.ndarray, codes_sorted: bool,
 ) -> TruncatedLaw:
     meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
             "degree_cap": str(degree_cap), **params}
-    law = TruncatedLaw(entries=entries, log_residual=LOG_ZERO, meta=meta)
+    law = TruncatedLaw._from_columns(codes, log_probs, codes_sorted, LOG_ZERO, meta)
     law.log_residual = log_sub(0.0, law_normalize_check(law))
     return law
 
@@ -704,8 +785,11 @@ def _family(
     <= h and degrees <= degree_cap; lowest is the smallest radius."""
     if h < lowest:
         raise ValidationError(f"radius must be >= {lowest}")
-    entries = _tabulate(_skeleton(p, h, degree_cap, law.root_degree), law.weight)
-    return _finalize(p, h, degree_cap, law.kind, law.params, entries)
+    codes, log_probs = _tabulate(
+        _skeleton(p, h, degree_cap, law.root_degree), law.weight
+    )
+    # one shape table, so in code order
+    return _finalize(p, h, degree_cap, law.kind, law.params, codes, log_probs, True)
 
 
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
@@ -764,13 +848,11 @@ def _restricted_family(
     _check_view(h, k0)
     # the blocks share widths: evaluate each width's weight once per build
     weight = cache(law.weight)
-    entries: dict[str, float] = {}
-    for j in range(1, k0):
-        entries.update(_tabulate(_skeleton(p, h, degree_cap, j), weight))
+    blocks = [_tabulate(_skeleton(p, h, degree_cap, j), weight) for j in range(1, k0)]
     skel = _skeleton(p, h, degree_cap, k0)
     # weights before the series, so a weight's own check (Kesten: eta < 1)
     # is the error a caller sees
-    own = {k: weight(k) for k in sorted({k for _, _, k in skel})}
+    own = {k: weight(k) for k in sorted(skel.widths)}
     t_table = law.sibling_sum(list(own))
     log_cq = _log_fat_constant(p)
     if h > 1 and p.kappa > 0.0:
@@ -778,11 +860,15 @@ def _restricted_family(
     else:
         gap = 0.0
     log_own = math.log1p(math.exp(log_cq) * gap)
-    entries.update(_tabulate(
+    blocks.append(_tabulate(
         skel, lambda k: log_add(own[k] + log_own, log_cq + t_table[k])
     ))
+    # root degrees 1 .. k0 in turn: past 9 that is not the codes' string order
+    codes = tuple(chain.from_iterable(c for c, _ in blocks))
+    log_probs = np.concatenate([lp for _, lp in blocks])
     params = {"k0": str(k0), **law.params}
-    return _finalize(p, h, degree_cap, law.kind + "-restricted", params, entries)
+    return _finalize(p, h, degree_cap, law.kind + "-restricted", params,
+                     codes, log_probs, _increasing(codes))
 
 
 def kesten_restricted_family(

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
-from itertools import islice, repeat
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .errors import GeomGWError, ValidationError
 from .exactlaw import (
@@ -181,33 +182,38 @@ def tv_distance(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[float, float]:
                 f"laws disagree on {key}: {l1.meta.get(key)} vs {l2.meta.get(key)}"
             )
     # summed left to right in sorted-code order: set order varies with hash
-    # randomization across processes, and builtin sum() compensates its
-    # rounding from Python 3.12 on; the sum must be byte-reproducible
-    gaps = map(abs, map(operator.sub, *_aligned(l1, l2)))
-    tv = 0.5 * reduce(operator.add, gaps, 0.0)
+    # randomization across processes, and both builtin sum() (from Python
+    # 3.12 on) and ndarray.sum() (pairwise) round differently; the sum must
+    # be byte-reproducible, and accumulate adds strictly left to right
+    gaps = np.abs(np.subtract(*_aligned(l1, l2)))
+    tv = 0.5 * (float(np.add.accumulate(gaps)[-1]) if gaps.size else 0.0)
     bound = 0.5 * (math.exp(l1.log_residual) + math.exp(l2.log_residual))
     return tv, bound
 
 
 def per_tree_gap(l1: TruncatedLaw, l2: TruncatedLaw) -> float:
     """Largest absolute probability difference over the tabulated codes."""
-    return max(map(abs, map(operator.sub, *_aligned(l1, l2))), default=0.0)
+    gaps = np.abs(np.subtract(*_aligned(l1, l2)))
+    return float(gaps.max()) if gaps.size else 0.0
 
 
-def _aligned(l1: TruncatedLaw, l2: TruncatedLaw):
+def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray]:
     """The two laws' probabilities over the union of their codes, in sorted
-    code order. Two tables that list the same codes in the same sorted
-    order are read in place. Otherwise the codes are merged: tables come
-    out of exactlaw sorted, so the sort only merges l1's codes with the
-    few runs of l2's codes that l1 lacks."""
+    code order. Two tables that list the same codes in sorted order (most
+    often one shared tuple) give their cached probability columns.
+    Otherwise the codes are merged: tables come out of exactlaw sorted, so
+    the sort only merges l1's codes with the few runs of l2's codes that l1
+    lacks."""
+    if l1.codes_sorted and (l1.codes is l2.codes or l1.codes == l2.codes):
+        return l1.probs, l2.probs
     e1, e2 = l1.entries, l2.entries
     codes = list(e1)
-    if codes == list(e2) and all(map(operator.lt, codes, islice(codes, 1, None))):
-        return (map(math.exp, e.values()) for e in (e1, e2))
     codes.extend(c for c in e2 if c not in e1)
     codes.sort()
-    return (
-        map(math.exp, map(e.get, codes, repeat(LOG_ZERO))) for e in (e1, e2)
+    return tuple(
+        np.fromiter(map(math.exp, map(e.get, codes, repeat(LOG_ZERO))),
+                    dtype=np.float64, count=len(codes))
+        for e in (e1, e2)
     )
 
 

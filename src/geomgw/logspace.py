@@ -44,9 +44,11 @@ def log_sub(x: float, y: float) -> float:
     return x + math.log1p(-e)
 
 
-def log_sum(values: Iterable[float]) -> float:
-    """log(sum(e^v)) over an iterable, empty sum -> -inf."""
-    values = list(values)
+def log_sum(values: Iterable[float] | np.ndarray) -> float:
+    """log(sum(e^v)) over an iterable or a 1-d array, empty sum -> -inf.
+    An array is read in place; any other iterable is listed first."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
     if len(values) == 1:
         # the array path's operations in plain floats, bit for bit
         m = float(values[0])
@@ -54,8 +56,7 @@ def log_sum(values: Iterable[float]) -> float:
             return LOG_ZERO
         return m + math.log(math.exp(m - m))
     arr = np.asarray(values, dtype=float)
-    # tabulated laws sum over 137k-entry tables here: drop the list so that
-    # the terms are not held twice at the peak
+    # drop the list so that the terms are not held twice at the peak
     del values
     if arr.size == 0:
         return LOG_ZERO

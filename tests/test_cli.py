@@ -156,9 +156,17 @@ def law_args_for(regime, *extra):
         ("poisson", ("--theta", "inf"), "theta must be finite"),
         ("poisson", ("--theta", "nan", "--k0", "1"), "theta must be finite"),
         ("gw", ("--height", "16", "--degree-cap", "2"), "more than the cap"),
+        ("kesten", ("--theta", "5", "--n", "3"), "--n"),
+        ("kesten", ("--theta", "5"), "--theta"),
+        ("gw", ("--a", "2"), "--a"),
+        ("poisson", ("--theta", "0.7", "--n", "3", "--a", "2"), "--n"),
+        ("condensation", ("--k0", "2", "--theta", "1"), "--theta"),
+        ("conditioned", ("--n", "5", "--a", "3", "--theta", "1"), "--theta"),
     ],
     ids=["gw-with-k0", "condensation-needs-k0", "conditioned-needs-n", "poisson-needs-theta",
-         "theta-nan", "theta-inf", "theta-nan-restricted", "above-the-shape-cap"],
+         "theta-nan", "theta-inf", "theta-nan-restricted", "above-the-shape-cap",
+         "kesten-with-n", "kesten-with-theta", "gw-with-a", "poisson-with-n",
+         "condensation-with-theta", "conditioned-with-theta"],
 )
 def test_law_argument_contract(capsys, regime, extra, fragment):
     code, out, err = run(capsys, *law_args_for(regime, *extra))
@@ -224,6 +232,15 @@ def test_sample_headers_by_regime(capsys):
             assert line.startswith('"')
 
 
+def test_sample_condensation_variant_defaults_to_two_type(capsys):
+    base = sample_args("condensation", 20, "--k0", "2")
+    code, implicit, err = run(capsys, *base)
+    assert code == 0, err
+    code, explicit, err = run(capsys, *base, "--variant", "two_type")
+    assert code == 0, err
+    assert implicit == explicit
+
+
 def test_sample_is_deterministic_and_prefix_stable(capsys):
     code, first, _ = run(capsys, *sample_args("kesten", 5))
     code, second, _ = run(capsys, *sample_args("kesten", 5))
@@ -250,10 +267,19 @@ def test_sample_missing_conditioning(capsys):
         ("poisson", 2, ("--theta", "inf")),
         ("poisson", 2, ("--theta", "1e300")),
         ("kesten", 2, ("--k0", "1")),
+        ("gw", 2, ("--theta", "5", "--n", "3", "--a", "9",
+                   "--variant", "inhomogeneous")),
+        ("gw", 2, ("--n", "3")),
+        ("gw", 2, ("--variant", "inhomogeneous")),
+        ("conditioned", 2, ("--n", "3", "--a", "2", "--theta", "1")),
+        ("poisson", 2, ("--theta", "0.7", "--variant", "two_type")),
+        ("condensation", 2, ("--k0", "2", "--theta", "1")),
     ],
     ids=["conditioned-no-draws", "poisson-needs-theta", "kesten-negative-height",
          "condensation-zero-k0", "negative-samples", "poisson-infinite-theta",
-         "poisson-huge-theta", "kesten-k0"],
+         "poisson-huge-theta", "kesten-k0", "gw-with-other-regimes-options",
+         "gw-with-n", "gw-with-variant", "conditioned-with-theta",
+         "poisson-with-variant", "condensation-with-theta"],
 )
 def test_sample_checks_options_before_writing(
     tmp_path, capsys, regime, samples, extra

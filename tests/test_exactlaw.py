@@ -41,6 +41,7 @@ from geomgw import (
 )
 from geomgw import exactlaw
 from geomgw.exactlaw import law_normalize_check
+from geomgw.logspace import log_sub, log_sum
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.3, 0.5)
@@ -621,11 +622,13 @@ def test_unrestricted_families_share_one_skeleton():
     # the width weights vanish at width 0, so the plain law and the three
     # width-weighted laws all read the one table of balls of height <= h
     exactlaw._skeleton.cache_clear()
-    gw_family(SUB, 2, 3)
+    plain = gw_family(SUB, 2, 3)
     conditioned_family(SUB, 5, 3, 2, 3)
     kesten_family(SUB, 2, 3)
     poisson_family(SUB, 2, 0.7, 3)
     assert exactlaw._skeleton.cache_info().misses == 1
+    # a table that drops no shape keeps the shape table's code tuple
+    assert plain.codes is exactlaw._skeleton(SUB, 2, 3, None).codes
 
 
 def _reference_skeletons(params, h, cap, root_degree):
@@ -652,8 +655,101 @@ def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap):
         refs = _reference_skeletons(FIXTURES, h, cap, root_degree)
         for p, ref in zip(FIXTURES, refs):
             got = exactlaw._skeleton(p, h, cap, root_degree)
-            bits = [(code, lgw.hex(), k) for code, lgw, k in got]
+            bits = [
+                (code, lgw.hex(), k)
+                for code, lgw, k in zip(got.codes, got.lgw.tolist(), got.width.tolist())
+            ]
             assert bits == ref, (p, root_degree)
+            # each distinct width once, in the order the rows first meet it
+            assert got.widths == tuple(dict.fromkeys(k for _, _, k in ref))
+
+
+def _reference_tabulate(rows, weight):
+    # the dict tabulator the families used before their tables became
+    # columns: one row at a time, each width's weight evaluated at its
+    # first row, zero-mass shapes left out
+    weights = {}
+    entries = {}
+    for code, lgw, k in rows:
+        if k not in weights:
+            weights[k] = weight(k)
+        lp = lgw + weights[k]
+        if lp != -math.inf:
+            entries[code] = lp
+    return entries
+
+
+def _meta(p, h, cap, kind, **params):
+    return {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
+            "degree_cap": str(cap), **params}
+
+
+_TABLE_CASES = [
+    *(
+        case
+        for p in FIXTURES
+        for h in (1, 2)
+        for case in (
+            (lambda p=p, h=h: gw_family(p, h, 4), _meta(p, h, 4, "gw")),
+            (lambda p=p, h=h: conditioned_family(p, 5, 3, h, 4),
+             _meta(p, h, 4, "conditioned", n="5", a="3")),
+            (lambda p=p, h=h: kesten_family(p, h, 4), _meta(p, h, 4, "kesten")),
+            (lambda p=p, h=h: poisson_family(p, h, 0.7, 4),
+             _meta(p, h, 4, "poisson", theta="0.7")),
+            (lambda p=p, h=h: condensation_family(p, h, 2, 4),
+             _meta(p, h, 4, "condensation", k0="2")),
+        )
+    ),
+    # at k0 = 10 the root-degree blocks are not in string order
+    *(
+        case
+        for p in FIXTURES
+        for h, k0, cap in ((1, 1, 4), (2, 2, 4), (1, 10, 10), (1, 12, 12))
+        for case in (
+            (lambda p=p, h=h, k0=k0, cap=cap: kesten_restricted_family(p, h, k0, cap),
+             _meta(p, h, cap, "kesten-restricted", k0=str(k0))),
+            (lambda p=p, h=h, k0=k0, cap=cap:
+             poisson_restricted_family(p, h, k0, 0.7, cap),
+             _meta(p, h, cap, "poisson-restricted", k0=str(k0), theta="0.7")),
+            (lambda p=p, h=h, k0=k0, cap=cap:
+             conditioned_restricted_family(p, 5, 3, h, k0, cap),
+             _meta(p, h, cap, "conditioned-restricted", k0=str(k0), n="5", a="3")),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build,meta", _TABLE_CASES,
+    ids=[f"{m['law']}-{m['eta']}-{m['q']}-h{m['h']}-cap{m['degree_cap']}"
+         + (f"-k0{m['k0']}" if "k0" in m else "") for _, m in _TABLE_CASES],
+)
+def test_tables_match_the_dict_tabulator_bit_for_bit(monkeypatch, build, meta):
+    # every block a law tabulates, in the order it tabulates them, goes
+    # through the dict tabulator too; the blocks' tables joined in that
+    # order, and the mass summed over the joined values, are the reference
+    calls = []
+    tabulate = exactlaw._tabulate
+
+    def spy(skel, weight):
+        calls.append((skel, weight))
+        return tabulate(skel, weight)
+
+    monkeypatch.setattr(exactlaw, "_tabulate", spy)
+    law = build()
+    entries = {}
+    for skel, weight in calls:
+        rows = zip(skel.codes, skel.lgw.tolist(), skel.width.tolist())
+        entries.update(_reference_tabulate(rows, weight))
+    residual = log_sub(0.0, log_sum(entries.values()))
+    assert list(law.entries) == list(entries)
+    assert [v.hex() for v in law.entries.values()] == [v.hex() for v in entries.values()]
+    assert law.log_residual.hex() == residual.hex()
+    assert law.meta == meta
+    # blocks go by root degree, 1 .. k0, whatever their string order
+    degrees = [int(code.split(",", 1)[0]) for code in law.codes]
+    assert degrees == sorted(degrees)
+    assert law.codes_sorted == (list(law.codes) == sorted(law.codes))
 
 
 def test_oversized_family_fails_before_any_walk():

@@ -241,6 +241,19 @@ def _table_pairs():
     poisson_family(CRIT, 2, 0.7, 4).write_csv(buf)
     reread = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
     yield reread, gw_family(CRIT, 2, 4)
+    # the codes of one shape table, as both weights drop its width-0 shapes:
+    # read in place
+    cond, kesten = conditioned_family(CRIT, 5, 3, 2, 4), kesten_family(CRIT, 2, 4)
+    assert cond.codes == kesten.codes and cond.codes_sorted
+    yield cond, kesten
+    # codes that differ only by zero-mass filtering: the plain law keeps the
+    # width-0 shapes the Kesten weight drops
+    yield gw_family(CRIT, 2, 4), kesten
+    # a k0 = 10 view, whose root-degree blocks are not in string order,
+    # against its limit law
+    view = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
+    assert not view.codes_sorted
+    yield view, condensation_family(CRIT, 1, 10, 10)
     # one shuffled code order shared by both tables: the in-place read
     # would sum in that order, so these must take the merge
     laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))

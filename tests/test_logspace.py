@@ -65,3 +65,15 @@ def test_log_sum_of_one_term_keeps_the_array_bits(v):
         want = array_log_sum([v])
     for got in (log_sum([v]), log_sum(iter([v]))):
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-0.75], [math.ldexp(1.0 + i / 97.0, -(i % 40)) - 30.0 for i in range(1000)],
+     [-math.inf] * 3],
+    ids=["one", "many", "all-zero-mass"],
+)
+def test_log_sum_reads_an_array_like_its_list(values):
+    arr = np.array(values, dtype=np.float64)
+    assert log_sum(arr).hex() == log_sum(values).hex()
+    assert log_sum(arr[:0]) == log_sum([]) == LOG_ZERO
