@@ -58,7 +58,7 @@ from .offspring import (
 )
 # enumerate_trees is not called here any more, but bench/tracing.py wraps
 # it under this module's name, so it stays bound
-from .treekit import OrderedTree, count_trees, enumerate_trees, fold_shapes
+from .treekit import OrderedTree, enumerate_trees, fold_shapes
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
@@ -642,8 +642,7 @@ def law_normalize_check(law: TruncatedLaw) -> float:
 class _Skeleton(NamedTuple):
     """A shape table as columns, rows in code order: each ball's code, its
     log ball mass (a read-only float64 array) and its bottom width (an int
-    array), plus the distinct widths in the order the rows first meet
-    them."""
+    array), plus the distinct widths in ascending order."""
 
     codes: tuple[str, ...]
     lgw: np.ndarray
@@ -656,8 +655,7 @@ def _columns(rows: list[tuple[str, float, int]]) -> _Skeleton:
     lgw = np.fromiter(map(itemgetter(1), rows), dtype=np.float64, count=n)
     lgw.flags.writeable = False
     width = np.fromiter(map(itemgetter(2), rows), dtype=np.intp, count=n)
-    distinct, first = np.unique(width, return_index=True)
-    widths = tuple(distinct[np.argsort(first)].tolist())
+    widths = tuple(np.unique(width).tolist())
     return _Skeleton(tuple(map(itemgetter(0), rows)), lgw, width, widths)
 
 
@@ -669,7 +667,7 @@ def _skeleton(
     p: OffspringParams, h: int, degree_cap: int, root_degree: int | None
 ) -> _Skeleton:
     """(code, log ball mass, bottom width) for each ball shape of height
-    <= h, sorted by code, as columns. The expensive part of every family
+    <= h, in code order, as columns. The expensive part of every family
     build, so cached; the width weights drop the shapes that do not reach
     depth h.
 
@@ -677,12 +675,8 @@ def _skeleton(
     Each pool entry is annotated once with its code, the log_pmf terms of
     its nodes above relative depth h-1 in preorder, and its width at that
     depth; a row folds those, so its log mass adds the same terms in the
-    same order as a preorder walk over the whole ball would."""
-    if h == 0:
-        # the lone root: no node above depth 0, one node at it
-        return _columns(
-            [("0", 0.0, 1)] * count_trees(0, degree_cap, root_degree=root_degree)
-        )
+    same order as a preorder walk over the whole ball would. At h = 0 the
+    lone root is the bottom: no node above it, one node at it."""
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
 
     def annotate(degs, depths):
@@ -699,23 +693,22 @@ def _skeleton(
             lgw += term
         return code + "," + sub_code, lgw, k + width
 
-    blocks = fold_shapes(
-        h, degree_cap, annotate, lambda d: (str(d), 0.0 + pmf[d], 0), step,
-        root_degree=root_degree,
-    )
-    rows = [row for block in blocks for row in block]
-    rows.sort(key=itemgetter(0))
-    return _columns(rows)
+    def start(d):
+        return (str(d), 0.0 + pmf[d], 0) if h else ("0", 0.0, 1)
+
+    blocks = fold_shapes(h, degree_cap, annotate, start, step,
+                         root_degree=root_degree)
+    return _columns(list(chain.from_iterable(blocks)))
 
 
 def _tabulate(
     skel: _Skeleton, weight: Callable[[int], float]
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The codes and log-probs lgw + weight(k) over a shape table's rows,
-    evaluating the weight once per width k, in the order the rows first
-    meet the widths, and leaving out shapes of zero mass. Each log-prob is
-    one float add, as in a row-by-row loop. With no shape left out the
-    codes are the shape table's own tuple."""
+    evaluating the weight once per width k, in ascending order, and
+    leaving out shapes of zero mass. Each log-prob is one float add, as in
+    a row-by-row loop. With no shape left out the codes are the shape
+    table's own tuple."""
     table = np.empty(max(skel.widths, default=-1) + 1)
     for k in skel.widths:
         table[k] = weight(k)
@@ -852,7 +845,7 @@ def _restricted_family(
     skel = _skeleton(p, h, degree_cap, k0)
     # weights before the series, so a weight's own check (Kesten: eta < 1)
     # is the error a caller sees
-    own = {k: weight(k) for k in sorted(skel.widths)}
+    own = {k: weight(k) for k in skel.widths}
     t_table = law.sibling_sum(list(own))
     log_cq = _log_fat_constant(p)
     if h > 1 and p.kappa > 0.0:

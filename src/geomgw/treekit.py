@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceError, ValidationError
@@ -25,7 +24,7 @@ from .errors import ResourceError, ValidationError
 class OrderedTree:
     """Immutable rooted ordered tree backed by its preorder degree tuple."""
 
-    __slots__ = ("_degrees", "_depths", "_hash")
+    __slots__ = ("_degrees", "_depths")
 
     def __init__(self, degrees: Iterable[int]):
         degs = tuple(int(d) for d in degrees)
@@ -55,7 +54,6 @@ class OrderedTree:
             raise ValidationError(f"degree sequence {degs!r} is missing children")
         self._degrees = degs
         self._depths = tuple(depths)
-        self._hash = None
 
     @classmethod
     def _trusted(
@@ -67,7 +65,6 @@ class OrderedTree:
         t = cls.__new__(cls)
         t._degrees = degrees
         t._depths = depths
-        t._hash = None
         return t
 
     # -- basic accessors -------------------------------------------------
@@ -212,9 +209,7 @@ class OrderedTree:
         return self._degrees == other._degrees
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._degrees)
-        return self._hash
+        return hash(self._degrees)
 
     def __repr__(self) -> str:
         return f"OrderedTree({self.encode()!r})"
@@ -254,22 +249,32 @@ def fold_shapes(
     max_trees: int = MAX_TREES,
 ) -> Iterator[list]:
     """Every tree enumerate_trees would yield, in its order, folded without
-    building it. Each (degrees, depths) entry of the height-1 pool is
+    building it. Each (degrees, depths) entry of the height-(h-1) pool is
     annotated once by `annotate`; a tree whose root has degree d over the
     pool entries s1..sd is step(...step(start(d), annotate(s1))...,
     annotate(sd)). Yields lists of folds. Raises ResourceError before
-    touching any pool if the count exceeds max_trees."""
+    touching any pool if the count exceeds max_trees.
+
+    The pools are built bottom-up from the lone root, each one the product
+    over the one below with root degrees in string order. Codes are prefix
+    free and "," sorts below every digit, so each pool, and the trees
+    folded over the last one, come out in code (string) order."""
     n = _count(height, degree_cap, root_degree, max_trees)
     if n > max_trees:
         raise ResourceError(
             f"enumeration would produce more than the cap of {max_trees} trees"
         )
+    every = sorted(range(degree_cap + 1), key=str)
     if root_degree is None:
-        roots = range(degree_cap + 1)
+        roots = every
     else:
         roots = (root_degree,) if root_degree <= degree_cap else ()
-    pool = _pool(height - 1, degree_cap) if height > 0 else ()
-    items = [annotate(*entry) for entry in pool]
+    pool = [_plant(0)]  # every tree of height <= 0
+    for _ in range(height - 1):
+        subs = [_hang(*entry) for entry in pool]
+        pool = [tree for d in every
+                for block in _fold(subs, d, _plant(d), _graft) for tree in block]
+    items = [annotate(*entry) for entry in pool] if height > 0 else []
     for d in roots:
         yield from _fold(items, d, start(d), step)
 
@@ -285,24 +290,6 @@ def _plant(d: int):
 
 def _graft(tree, sub):
     return tree[0] + sub[0], tree[1] + sub[1]
-
-
-def _trees(height: int, degree_cap: int, **shape) -> Iterator[list]:
-    """(degrees, depths) of every tree enumerate_trees would yield."""
-    return fold_shapes(height, degree_cap, _hang, _plant, _graft, **shape)
-
-
-# Only the pools below an enumeration's height are ever asked for, and they
-# are small next to the top level, which fold_shapes streams instead.
-@lru_cache(maxsize=32)
-def _pool(
-    height: int, degree_cap: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(degrees, depths) of every tree of height <= `height` with degrees
-    <= degree_cap, in root-degree order. Uncapped: a pool is smaller than
-    the enumeration that asks for it, which has passed its own cap."""
-    blocks = _trees(height, degree_cap, max_trees=math.inf)
-    return tuple(itertools.chain.from_iterable(blocks))
 
 
 def count_trees(
@@ -351,11 +338,12 @@ def enumerate_trees(
     max_trees: int = MAX_TREES,
 ) -> Iterator[OrderedTree]:
     """Yield every tree of height <= `height` whose out-degrees are all
-    <= degree_cap, optionally with the root degree pinned. Raises
-    ResourceError up front if the count, which is exact, exceeds
+    <= degree_cap, optionally with the root degree pinned, in code order.
+    Raises ResourceError up front if the count, which is exact, exceeds
     max_trees."""
-    for block in _trees(
-        height, degree_cap, root_degree=root_degree, max_trees=max_trees
+    for block in fold_shapes(
+        height, degree_cap, _hang, _plant, _graft,
+        root_degree=root_degree, max_trees=max_trees,
     ):
         for degrees, depths in block:
             yield OrderedTree._trusted(degrees, depths)

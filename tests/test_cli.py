@@ -139,6 +139,21 @@ def test_law_conditioned_at_a_deep_generation(capsys, eta, q):
     assert all(math.isfinite(v) for v in law.entries.values())
 
 
+@pytest.mark.parametrize(
+    "regime,eta,height,cap,ball",
+    [("gw", "0.5", 1000, 0, "0"), ("kesten", "0.3", 400, 1, "1," * 400 + "0")],
+)
+def test_law_deeper_than_the_recursion_limit(capsys, regime, eta, height, cap, ball):
+    # pools are built bottom-up, so the radius is not bounded by the stack
+    code, out, err = run(
+        capsys, "law", "--regime", regime, "--eta", eta, "--q", "0.5",
+        "--height", str(height), "--degree-cap", str(cap),
+    )
+    assert code == 0, err
+    law = TruncatedLaw.read_csv(io.StringIO(out))
+    assert list(law.entries) == [ball]
+
+
 def law_args_for(regime, *extra):
     argv = list(KESTEN_LAW_ARGS)
     argv[argv.index("--regime") + 1] = regime

@@ -39,7 +39,7 @@ from geomgw import (
     poisson_tree_law,
     size_conditioning_ratio,
 )
-from geomgw import exactlaw
+from geomgw import exactlaw, oracle
 from geomgw.exactlaw import law_normalize_check
 from geomgw.logspace import log_sub, log_sum
 
@@ -538,6 +538,23 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
             assert abs(got[k] - float(mpmath.log(u))) <= 1e-11, (n, k)
 
 
+@pytest.mark.parametrize(
+    "h,a,k0,cap", [(1, 1, 1, 4), (1, 3, 2, 4), (2, 3, 2, 4), (2, 5, 1, 4), (2, 6, 2, 3)]
+)
+def test_conditioned_view_at_h_equal_n_matches_the_double_loop(h, a, k0, cap):
+    # at h = n the size-conditioning weight is a point mass at bottom width
+    # a, and the sibling series a finite sum over the hidden width a - k
+    for p in FIXTURES + (PURE,):
+        law = conditioned_restricted_family(p, h, a, h, k0, cap)
+        assert law.entries
+        table = oracle.hidden_forest_table(p, h, 320, a)
+        weights = oracle.conditioned_weight_vector(p, h, a, h, k0 * cap ** (h - 1) + a)
+        for code, logp in law.entries.items():
+            t = OrderedTree.decode(code)
+            direct = oracle.restricted_entry_direct(p, h, k0, t, weights, table)
+            assert math.exp(logp) == pytest.approx(direct, rel=1e-12), (p, code)
+
+
 def test_restricted_family_validation():
     with pytest.raises(ValidationError):
         conditioned_restricted_family(CRIT, 2, 1, 3, 1, 4)  # h > n
@@ -660,8 +677,8 @@ def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap):
                 for code, lgw, k in zip(got.codes, got.lgw.tolist(), got.width.tolist())
             ]
             assert bits == ref, (p, root_degree)
-            # each distinct width once, in the order the rows first meet it
-            assert got.widths == tuple(dict.fromkeys(k for _, _, k in ref))
+            # each distinct width once, ascending
+            assert got.widths == tuple(sorted({k for _, _, k in ref}))
 
 
 def _reference_tabulate(rows, weight):
@@ -790,6 +807,19 @@ def test_law_csv_layout():
     assert lines[1] == "tree_code,log_prob"
     codes = [line.split(",", 1)[0] for line in lines[2:]]
     assert codes == sorted(codes)
+
+
+def test_law_csv_sorts_a_wide_view():
+    # a k0 >= 10 view lists its root-degree blocks 1 .. k0, which past 9
+    # is not string order; the file is sorted all the same
+    law = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
+    assert not law.codes_sorted
+    buf = io.StringIO()
+    law.write_csv(buf)
+    back = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
+    assert list(back.entries) == sorted(law.codes)
+    assert back.entries == law.entries
+    assert back.log_residual == law.log_residual
 
 
 def test_normalize_check_rejects_excess_mass():

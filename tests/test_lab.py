@@ -19,6 +19,7 @@ from geomgw import (
     generation_scale,
     gw_family,
     kesten_family,
+    kesten_restricted_family,
     per_tree_gap,
     poisson_family,
     run_regime,
@@ -194,6 +195,19 @@ def test_tv_distance_rejects_mismatched_views():
     l2 = law_of({"1,0": 0.5}, 0.5, h="2", k0="1")
     with pytest.raises(ValidationError):
         tv_distance(l1, l2)
+
+
+@pytest.mark.parametrize("distance", [tv_distance, per_tree_gap])
+def test_distances_refuse_laws_of_different_balls(distance):
+    pairs = [
+        (kesten_family(CRIT, 1, 3), kesten_family(CRIT, 2, 3)),
+        (kesten_restricted_family(CRIT, 2, 1, 3),
+         condensation_family(CRIT, 2, 2, 3)),
+    ]
+    for l1, l2 in pairs:
+        for a, b in ((l1, l2), (l2, l1)):
+            with pytest.raises(ValidationError, match="laws disagree"):
+                distance(a, b)
 
 
 def test_per_tree_gap_hand_value():

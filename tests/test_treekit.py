@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from geomgw import treekit
 from geomgw import (
     OrderedTree,
     ResourceError,
@@ -48,8 +47,14 @@ def test_leaf_tree():
 
 
 def test_encode_decode_round_trip_exhaustive():
-    for t in small_trees():
-        assert OrderedTree.decode(t.encode()) == t
+    trees = small_trees()
+    for t in trees:
+        again = OrderedTree.decode(t.encode())
+        assert again == t
+        # a validated tree and an enumerated (trusted) one hash alike
+        assert hash(again) == hash(t)
+    revalidated = {OrderedTree(t.degrees) for t in trees}
+    assert len(set(trees) | revalidated) == len(trees)
 
 
 @pytest.mark.parametrize("text", ["", "2,0", "1,0,0", "x", "0,", "-1"])
@@ -188,22 +193,10 @@ def test_root_degree_is_keyword_only():
         count_trees(2, 3, True)
 
 
-def test_only_pools_below_the_enumerated_height_are_cached():
-    assert treekit._pool.cache_info().maxsize is not None
-    treekit._pool.cache_clear()
-    list(enumerate_trees(2, 3))
-    assert treekit._pool.cache_info().currsize == 2  # heights 0 and 1
-    misses = treekit._pool.cache_info().misses
-    treekit._pool(1, 3)
-    assert treekit._pool.cache_info().misses == misses
-    treekit._pool(2, 3)
-    assert treekit._pool.cache_info().misses == misses + 1
-
-
 @pytest.mark.parametrize("height", [0, 1, 2, 3])
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
 def test_enumeration_is_the_product_over_the_pool_in_order(height, cap):
-    pool = [degs for degs, _ in treekit._pool(height - 1, cap)] if height else []
+    pool = [t.degrees for t in enumerate_trees(height - 1, cap)] if height else []
     for root in (None, 0, 1, 2, 5):
         roots = range(cap + 1) if root is None else [root] * (root <= cap)
         ref = (
@@ -215,3 +208,23 @@ def test_enumeration_is_the_product_over_the_pool_in_order(height, cap):
         for t, degrees in itertools.zip_longest(got, ref):
             assert t.degrees == degrees
             assert t.depths == OrderedTree(degrees).depths
+
+
+@pytest.mark.parametrize(
+    "height,cap,root", [(2, 3, None), (3, 2, None), (1, 12, None), (1, 40, None),
+                        (2, 10, 2), (2, 12, 1)],
+)
+def test_enumeration_is_in_code_order(height, cap, root):
+    # past cap 9 the root degrees go in string order: 0, 1, 10, 11, 2, ...
+    codes = [t.encode() for t in enumerate_trees(height, cap, root_degree=root)]
+    assert len(codes) == count_trees(height, cap, root_degree=root)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+
+
+def test_deep_radii_enumerate_without_recursion():
+    paths = list(enumerate_trees(400, 1))
+    assert len(paths) == 401
+    codes = [t.encode() for t in paths]
+    assert codes == sorted(codes)
+    assert [t.height for t in paths] == list(range(401))
+    assert [t.degrees for t in enumerate_trees(1000, 0)] == [(0,)]
