@@ -190,16 +190,11 @@ def test_tv_distance_sums_left_to_right():
     assert tv == 0.5
 
 
-def test_tv_distance_rejects_mismatched_views():
-    l1 = law_of({"1,0": 0.5}, 0.5, h="1", k0="1")
-    l2 = law_of({"1,0": 0.5}, 0.5, h="2", k0="1")
-    with pytest.raises(ValidationError):
-        tv_distance(l1, l2)
-
-
 @pytest.mark.parametrize("distance", [tv_distance, per_tree_gap])
 def test_distances_refuse_laws_of_different_balls(distance):
     pairs = [
+        (law_of({"1,0": 0.5}, 0.5, h="1", k0="1"),
+         law_of({"1,0": 0.5}, 0.5, h="2", k0="1")),
         (kesten_family(CRIT, 1, 3), kesten_family(CRIT, 2, 3)),
         (kesten_restricted_family(CRIT, 2, 1, 3),
          condensation_family(CRIT, 2, 2, 3)),
