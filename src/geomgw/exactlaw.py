@@ -31,7 +31,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, product, zip_longest
 from operator import itemgetter, lt
 from typing import NamedTuple
 
@@ -58,7 +58,7 @@ from .offspring import (
 )
 # enumerate_trees is not called here any more, but bench/tracing.py wraps
 # it under this module's name, so it stays bound
-from .treekit import OrderedTree, enumerate_trees, fold_shapes
+from .treekit import OrderedTree, enumerate_trees, shape_pool
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
@@ -650,15 +650,6 @@ class _Skeleton(NamedTuple):
     widths: tuple[int, ...]
 
 
-def _columns(rows: list[tuple[str, float, int]]) -> _Skeleton:
-    n = len(rows)
-    lgw = np.fromiter(map(itemgetter(1), rows), dtype=np.float64, count=n)
-    lgw.flags.writeable = False
-    width = np.fromiter(map(itemgetter(2), rows), dtype=np.intp, count=n)
-    widths = tuple(np.unique(width).tolist())
-    return _Skeleton(tuple(map(itemgetter(0), rows)), lgw, width, widths)
-
-
 # A single entry can hold millions of rows, and a rebuild is cheap next to
 # the laws built from it; the bundled sweeps and the benchmark workloads
 # use at most four distinct tables.
@@ -672,33 +663,43 @@ def _skeleton(
     depth h.
 
     A ball is its root over a product of entries of the height-(h-1) pool.
-    Each pool entry is annotated once with its code, the log_pmf terms of
-    its nodes above relative depth h-1 in preorder, and its width at that
-    depth; a row folds those, so its log mass adds the same terms in the
-    same order as a preorder walk over the whole ball would. At h = 0 the
-    lone root is the bottom: no node above it, one node at it."""
+    The columns are built one pass per root slot, all root degrees with a
+    slot left in one matrix, one row each. A pass adds each pool entry's
+    log_pmf terms above depth h, in preorder and zero padded, and its
+    width at depth h. Sums start at 0.0 + pmf[d], never -0.0,
+    so a padding add x + 0.0 returns x: every row adds the same terms in
+    the same order as a preorder walk over the ball. At h = 0 the lone
+    root is the bottom: no node above it, one node at it."""
+    roots, pool = shape_pool(h, degree_cap, root_degree=root_degree)
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
-
-    def annotate(degs, depths):
-        return (
-            ",".join(map(str, degs)),
-            tuple(pmf[d] for d, dep in zip(degs, depths) if dep < h - 1),
-            depths.count(h - 1),
-        )
-
-    def step(row, sub):
-        code, lgw, k = row
-        sub_code, terms, width = sub
-        for term in terms:
-            lgw += term
-        return code + "," + sub_code, lgw, k + width
-
-    def start(d):
-        return (str(d), 0.0 + pmf[d], 0) if h else ("0", 0.0, 1)
-
-    blocks = fold_shapes(h, degree_cap, annotate, start, step,
-                         root_degree=root_degree)
-    return _columns(list(chain.from_iterable(blocks)))
+    above = [[pmf[d] for d, dep in zip(degs, depths) if dep < h]
+             for degs, depths in pool]
+    # column t holds each entry's t-th term, 0.0 past its last
+    term_columns = np.array(list(zip_longest(*above, fillvalue=0.0)))
+    sub_width = np.array([depths.count(h) for _, depths in pool], dtype=np.intp)
+    open_degrees = sorted(roots)
+    lgw = np.array([[0.0 + pmf[d] if h else 0.0] for d in open_degrees])
+    width = np.full((len(open_degrees), 1), 0 if h else 1, dtype=np.intp)
+    done = {}
+    for slots in range(max(roots, default=-1) + 1):
+        if open_degrees[0] == slots:
+            done[open_degrees.pop(0)] = lgw[0], width[0]
+            lgw, width = lgw[1:], width[1:]
+        if not open_degrees:
+            break
+        lgw = np.repeat(lgw[:, :, None], len(pool), axis=2)
+        for col in term_columns:
+            lgw += col
+        lgw = lgw.reshape(len(open_degrees), -1)
+        width = (width[:, :, None] + sub_width).reshape(len(open_degrees), -1)
+    sub_codes = [",".join(map(str, degs)) for degs, _ in pool]
+    codes = tuple(chain.from_iterable(
+        map(",".join, product((str(d),), *[sub_codes] * d)) for d in roots
+    ))
+    lgw = np.concatenate([done[d][0] for d in roots] or [np.empty(0)])
+    lgw.flags.writeable = False
+    width = np.concatenate([done[d][1] for d in roots] or [np.empty(0, np.intp)])
+    return _Skeleton(codes, lgw, width, tuple(np.unique(width).tolist()))
 
 
 def _tabulate(
@@ -846,7 +847,8 @@ def _restricted_family(
     # weights before the series, so a weight's own check (Kesten: eta < 1)
     # is the error a caller sees
     own = {k: weight(k) for k in skel.widths}
-    t_table = law.sibling_sum(list(own))
+    # past the cap the k0 block is empty and needs no series
+    t_table = law.sibling_sum(list(own)) if own else {}
     log_cq = _log_fat_constant(p)
     if h > 1 and p.kappa > 0.0:
         gap = p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)

@@ -238,27 +238,26 @@ def _fold(items, d: int, acc, step) -> Iterator[list]:
         yield [step(f, y) for y in items]
 
 
-def fold_shapes(
+def shape_pool(
     height: int,
     degree_cap: int,
-    annotate,
-    start,
-    step,
     *,
     root_degree: int | None = None,
     max_trees: int = MAX_TREES,
-) -> Iterator[list]:
-    """Every tree enumerate_trees would yield, in its order, folded without
-    building it. Each (degrees, depths) entry of the height-(h-1) pool is
-    annotated once by `annotate`; a tree whose root has degree d over the
-    pool entries s1..sd is step(...step(start(d), annotate(s1))...,
-    annotate(sd)). Yields lists of folds. Raises ResourceError before
-    touching any pool if the count exceeds max_trees.
+) -> tuple[Sequence[int], list]:
+    """The two factors of every enumeration: the root degrees, in string
+    order, and the height-(h-1) pool as root subtrees, (degrees, depths)
+    entries with depths counted from the root above them. The trees
+    enumerate_trees yields are, root degree by root degree, each root of
+    degree d over the d-fold product of the pool, in itertools.product
+    order. Raises ResourceError before building any pool if the count
+    exceeds max_trees.
 
-    The pools are built bottom-up from the lone root, each one the product
-    over the one below with root degrees in string order. Codes are prefix
-    free and "," sorts below every digit, so each pool, and the trees
-    folded over the last one, come out in code (string) order."""
+    The pool is built bottom-up from the lone root, each level the
+    product over the one below with root degrees in string order. Codes
+    are prefix free and "," sorts below every digit, so the pool, and the
+    trees over it, come out in code (string) order. Only a root with
+    children draws on the pool, so without one it is empty."""
     n = _count(height, degree_cap, root_degree, max_trees)
     if n > max_trees:
         raise ResourceError(
@@ -269,14 +268,13 @@ def fold_shapes(
         roots = every
     else:
         roots = (root_degree,) if root_degree <= degree_cap else ()
-    pool = [_plant(0)]  # every tree of height <= 0
+    if height == 0 or not any(roots):
+        return roots, []
+    subs = [_hang(*_plant(0))]  # every tree of height <= 0
     for _ in range(height - 1):
-        subs = [_hang(*entry) for entry in pool]
-        pool = [tree for d in every
+        subs = [_hang(*tree) for d in every
                 for block in _fold(subs, d, _plant(d), _graft) for tree in block]
-    items = [annotate(*entry) for entry in pool] if height > 0 else []
-    for d in roots:
-        yield from _fold(items, d, start(d), step)
+    return roots, subs
 
 
 def _hang(degrees: tuple[int, ...], depths: tuple[int, ...]):
@@ -341,9 +339,10 @@ def enumerate_trees(
     <= degree_cap, optionally with the root degree pinned, in code order.
     Raises ResourceError up front if the count, which is exact, exceeds
     max_trees."""
-    for block in fold_shapes(
-        height, degree_cap, _hang, _plant, _graft,
-        root_degree=root_degree, max_trees=max_trees,
-    ):
-        for degrees, depths in block:
-            yield OrderedTree._trusted(degrees, depths)
+    roots, subs = shape_pool(
+        height, degree_cap, root_degree=root_degree, max_trees=max_trees
+    )
+    for d in roots:
+        for block in _fold(subs, d, _plant(d), _graft):
+            for degrees, depths in block:
+                yield OrderedTree._trusted(degrees, depths)

@@ -23,6 +23,7 @@ from geomgw import (
     conditioned_family,
     conditioned_restricted_family,
     conditioned_tree_law,
+    count_trees,
     enumerate_trees,
     extinction_params,
     gw_family,
@@ -42,6 +43,7 @@ from geomgw import (
 from geomgw import exactlaw, oracle
 from geomgw.exactlaw import law_normalize_check
 from geomgw.logspace import log_sub, log_sum
+from geomgw.treekit import MAX_TREES
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.3, 0.5)
@@ -485,6 +487,27 @@ def test_restricted_family_meta():
         }
 
 
+@pytest.mark.parametrize("p", FIXTURES)
+def test_views_past_the_cap_are_their_family(p):
+    # with k0 > cap no ball reaches its k0-th root subtree, so no sibling is
+    # hidden: each view lists its family's balls with the family's log-probs
+    for view, family in [
+        (kesten_restricted_family(p, 2, 5, 3), kesten_family(p, 2, 3)),
+        (poisson_restricted_family(p, 2, 5, 0.7, 3), poisson_family(p, 2, 0.7, 3)),
+        (conditioned_restricted_family(p, 5, 3, 2, 5, 3),
+         conditioned_family(p, 5, 3, 2, 3)),
+    ]:
+        assert view.entries == family.entries
+        assert view.log_residual == family.log_residual
+    for view in (
+        kesten_restricted_family(p, 2, 1, 0),
+        poisson_restricted_family(p, 2, 1, 0.7, 0),
+        conditioned_restricted_family(p, 5, 3, 2, 1, 0),
+    ):
+        assert view.entries == {}
+        assert view.log_residual == 0.0
+
+
 def test_restricted_family_supports_root_degrees_up_to_k0():
     law = poisson_restricted_family(CRIT, 2, 2, 0.7, 4)
     degrees = {OrderedTree.decode(c).root_degree for c in law.entries}
@@ -666,11 +689,28 @@ def _reference_skeletons(params, h, cap, root_degree):
     return tables
 
 
-@pytest.mark.parametrize("h,cap", [(0, 3), (1, 40), (2, 6), (3, 3), (4, 2)])
-def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap):
-    for root_degree in (None, 0, 1, 2, 5):
-        refs = _reference_skeletons(FIXTURES, h, cap, root_degree)
-        for p, ref in zip(FIXTURES, refs):
+_SKELETON_CASES = [
+    *((h, cap, (None, 0, 1, 2, 5))
+      for h, cap in [(0, 3), (1, 40), (2, 6), (3, 3), (4, 2), (30, 1)]),
+    # two-digit degrees inside the pool entries; the free root, and roots
+    # 10 and 12 (13^10 and 13^12 balls), pass the enumeration cap
+    (2, 12, (1, 2, 3, 10, 12)),
+]
+
+
+@pytest.mark.parametrize(
+    "h,cap,roots", _SKELETON_CASES, ids=[f"{h}-{cap}" for h, cap, _ in _SKELETON_CASES]
+)
+def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap, roots):
+    # PURE has log_pmf(0) = -inf: a leaf above the bottom zeroes the mass
+    params = FIXTURES + (PURE,)
+    for root_degree in roots:
+        if count_trees(h, cap, root_degree=root_degree) > MAX_TREES:
+            with pytest.raises(ResourceError):
+                exactlaw._skeleton(CRIT, h, cap, root_degree)
+            continue
+        refs = _reference_skeletons(params, h, cap, root_degree)
+        for p, ref in zip(params, refs):
             got = exactlaw._skeleton(p, h, cap, root_degree)
             bits = [
                 (code, lgw.hex(), k)

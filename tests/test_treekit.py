@@ -12,6 +12,7 @@ from geomgw import (
     count_trees,
     enumerate_trees,
 )
+from geomgw.treekit import shape_pool
 
 CHAIN = OrderedTree((1, 1, 0))          # root - child - grandchild
 CHERRY = OrderedTree((2, 0, 0))         # root with two leaf children
@@ -208,6 +209,15 @@ def test_enumeration_is_the_product_over_the_pool_in_order(height, cap):
         for t, degrees in itertools.zip_longest(got, ref):
             assert t.degrees == degrees
             assert t.depths == OrderedTree(degrees).depths
+
+
+def test_pool_is_built_only_under_a_root_with_children():
+    # at cap 40 the height-3 pool would hold more than 41^40 shapes, but a
+    # root of degree 0, or one pinned past the cap, takes no product over it
+    assert shape_pool(4, 40, root_degree=0) == ((0,), [])
+    assert shape_pool(4, 40, root_degree=41) == ((), [])
+    assert [t.degrees for t in enumerate_trees(4, 40, root_degree=0)] == [(0,)]
+    assert shape_pool(5, 0) == ([0], [])
 
 
 @pytest.mark.parametrize(
