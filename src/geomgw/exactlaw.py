@@ -666,10 +666,10 @@ def _skeleton(
     The columns are built one pass per root slot, all root degrees with a
     slot left in one matrix, one row each. A pass adds each pool entry's
     log_pmf terms above depth h, in preorder and zero padded, and its
-    width at depth h. Sums start at 0.0 + pmf[d], never -0.0,
-    so a padding add x + 0.0 returns x: every row adds the same terms in
-    the same order as a preorder walk over the ball. At h = 0 the lone
-    root is the bottom: no node above it, one node at it."""
+    width at depth h. Sums start at 0.0 + pmf[d], never -0.0, so a
+    padding add x + 0.0 returns x: every row adds the same terms in the
+    same order as a preorder walk over the ball. At h = 0 the lone root
+    is the bottom: no node above it, one node at it."""
     roots, pool = shape_pool(h, degree_cap, root_degree=root_degree)
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
     above = [[pmf[d] for d, dep in zip(degs, depths) if dep < h]

@@ -692,8 +692,8 @@ def _reference_skeletons(params, h, cap, root_degree):
 _SKELETON_CASES = [
     *((h, cap, (None, 0, 1, 2, 5))
       for h, cap in [(0, 3), (1, 40), (2, 6), (3, 3), (4, 2), (30, 1)]),
-    # two-digit degrees inside the pool entries; the free root, and roots
-    # 10 and 12 (13^10 and 13^12 balls), pass the enumeration cap
+    # two-digit degrees inside the pool entries; the free root and roots 10
+    # and 12 (13^10 and 13^12 balls) exceed the enumeration cap
     (2, 12, (1, 2, 3, 10, 12)),
 ]
 
