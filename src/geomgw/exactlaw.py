@@ -17,7 +17,8 @@ Each ball law is the plain ball mass times a weight of the ball's bottom
 width k = Z_h alone. Every law has exactly one weight function of
 (p, h, k); its per-tree law adds it to gw_tree_log_prob, and one record
 per law (_Law) carries it to both its family and its restricted view,
-whose tables go through the one tabulator, _tabulate.
+whose tables go through the one tabulator, _tabulate. Each table reads
+one shape table in code order, so every tabulated law is in code order.
 
 For root-degree-truncated balls the laws of the conditioned and skinny
 trees need an infinite series over the unobserved sibling subtrees; it
@@ -30,9 +31,8 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
-from itertools import chain, compress, islice, product, zip_longest
-from operator import itemgetter, lt
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress, product, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +58,7 @@ from .offspring import (
 )
 # enumerate_trees is not called here any more, but bench/tracing.py wraps
 # it under this module's name, so it stays bound
-from .treekit import OrderedTree, enumerate_trees, shape_pool
+from .treekit import OrderedTree, _shape_pool, enumerate_trees
 
 MASS_TOLERANCE = 1e-9  # slack allowed above 1 before a law is declared broken
 SERIES_RTOL = 1e-9  # relative accuracy of every certified sibling series
@@ -530,20 +530,15 @@ def _sibling_sum_kesten(
 # ---------------------------------------------------------------------------
 
 
-def _increasing(codes: tuple[str, ...]) -> bool:
-    """Whether the codes are in strictly increasing string order."""
-    return all(map(lt, codes, islice(codes, 1, None)))
-
-
 class TruncatedLaw:
     """A law tabulated over an enumerated set of tree codes.
 
-    The table is stored as two columns in one row order: codes, a tuple of
-    text tree codes, and log_probs, a read-only float64 array of their log
-    probabilities. A table built here from one shape table keeps that
-    table's code tuple whenever no shape drops out, and codes_sorted says
-    whether the codes are in string order. entries is the code -> log
-    probability dict in row order and probs the column of probabilities
+    The table is stored as two columns in code (string) order: codes, a
+    tuple of text tree codes, and log_probs, a read-only float64 array of
+    their log probabilities. A table built here from one shape table keeps
+    that table's code tuple whenever no shape drops out; one built from an
+    entries dict sorts its codes. entries is the code -> log probability
+    dict in code order and probs the column of probabilities
     (math.exp of each entry); both are derived from the columns on first
     use and then kept. log_residual bounds (in log space) the mass the
     table does not see, i.e. 1 minus the tabulated total. meta records how
@@ -553,25 +548,19 @@ class TruncatedLaw:
     def __init__(
         self, entries: dict[str, float], log_residual: float, meta: dict | None = None
     ) -> None:
-        codes = tuple(entries)
-        log_probs = np.fromiter(entries.values(), dtype=np.float64, count=len(codes))
-        self._set(codes, log_probs, _increasing(codes), log_residual, meta)
+        codes = tuple(sorted(entries))
+        log_probs = np.fromiter(map(entries.get, codes), np.float64, len(codes))
+        self._set(codes, log_probs, log_residual, meta)
 
     @classmethod
-    def _from_columns(
-        cls, codes: tuple[str, ...], log_probs: np.ndarray, codes_sorted: bool,
-        log_residual: float, meta: dict,
-    ) -> "TruncatedLaw":
+    def _from_columns(cls, codes, log_probs, log_residual, meta) -> "TruncatedLaw":
         law = cls.__new__(cls)
-        law._set(codes, log_probs, codes_sorted, log_residual, meta)
+        law._set(codes, log_probs, log_residual, meta)
         return law
 
-    def _set(self, codes, log_probs, codes_sorted, log_residual, meta) -> None:
+    def _set(self, codes, log_probs, log_residual, meta) -> None:
         log_probs.flags.writeable = False
-        self.codes = codes
-        self.log_probs = log_probs
-        self.codes_sorted = codes_sorted
-        self.log_residual = log_residual
+        self.codes, self.log_probs, self.log_residual = codes, log_probs, log_residual
         self.meta = {} if meta is None else meta
 
     @cached_property
@@ -594,16 +583,13 @@ class TruncatedLaw:
 
     def write_csv(self, out) -> None:
         """Write the law to a text stream: one metadata comment line, a
-        header, then code/log-prob rows in sorted code order."""
+        header, then code/log-prob rows in code order."""
         keys = sorted(self.meta)
         parts = [f"{k}={self.meta[k]}" for k in keys]
         parts.append(f"log_residual={self.log_residual!r}")
         out.write("# " + " ".join(parts) + "\n")
         out.write("tree_code,log_prob\n")
-        rows = zip(self.codes, self.log_probs.tolist())
-        if not self.codes_sorted:
-            rows = sorted(rows, key=itemgetter(0))
-        for code, lp in rows:
+        for code, lp in zip(self.codes, self.log_probs.tolist()):
             out.write(f'"{code}",{lp!r}\n')
 
     @classmethod
@@ -642,25 +628,27 @@ def law_normalize_check(law: TruncatedLaw) -> float:
 class _Skeleton(NamedTuple):
     """A shape table as columns, rows in code order: each ball's code, its
     log ball mass (a read-only float64 array) and its bottom width (an int
-    array), plus the distinct widths in ascending order."""
+    array), plus the distinct widths in ascending order and the rows of
+    each root degree, one slice each."""
 
     codes: tuple[str, ...]
     lgw: np.ndarray
     width: np.ndarray
     widths: tuple[int, ...]
+    rows: dict[int, slice]
 
 
 # A single entry can hold millions of rows, and a rebuild is cheap next to
-# the laws built from it; the bundled sweeps and the benchmark workloads
-# use at most four distinct tables.
+# the laws built from it. One table serves every family at (p, h, cap) and
+# one every law at an (h, k0) view; the bundled sweeps and the benchmark
+# workloads use at most three distinct tables.
 @lru_cache(maxsize=8)
-def _skeleton(
-    p: OffspringParams, h: int, degree_cap: int, root_degree: int | None
-) -> _Skeleton:
+def _skeleton(p: OffspringParams, h: int, degree_cap: int, k0: int | None) -> _Skeleton:
     """(code, log ball mass, bottom width) for each ball shape of height
-    <= h, in code order, as columns. The expensive part of every family
-    build, so cached; the width weights drop the shapes that do not reach
-    depth h.
+    <= h, in code order, as columns: with k0 None every such ball, else
+    the balls of the (h, k0) view, root degrees 1 .. min(k0, degree_cap).
+    The expensive part of every family build, so cached; the width
+    weights drop the shapes that do not reach depth h.
 
     A ball is its root over a product of entries of the height-(h-1) pool.
     The columns are built one pass per root slot, all root degrees with a
@@ -670,7 +658,8 @@ def _skeleton(
     padding add x + 0.0 returns x: every row adds the same terms in the
     same order as a preorder walk over the ball. At h = 0 the lone root
     is the bottom: no node above it, one node at it."""
-    roots, pool = shape_pool(h, degree_cap, root_degree=root_degree)
+    degrees = range(degree_cap + 1) if k0 is None else range(1, min(k0, degree_cap) + 1)
+    roots, pool = _shape_pool(h, degree_cap, sorted(degrees, key=str))
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
     above = [[pmf[d] for d, dep in zip(degs, depths) if dep < h]
              for degs, depths in pool]
@@ -699,34 +688,40 @@ def _skeleton(
     lgw = np.concatenate([done[d][0] for d in roots] or [np.empty(0)])
     lgw.flags.writeable = False
     width = np.concatenate([done[d][1] for d in roots] or [np.empty(0, np.intp)])
-    return _Skeleton(codes, lgw, width, tuple(np.unique(width).tolist()))
+    sizes = [len(done[d][0]) for d in roots]
+    rows = dict(zip(roots, map(slice, accumulate([0] + sizes), accumulate(sizes))))
+    return _Skeleton(codes, lgw, width, tuple(np.unique(width).tolist()), rows)
+
+
+def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
+    """weight(k) once per width k, in the order given, in a table by width."""
+    table = np.empty(max(widths, default=-1) + 1)
+    for k in widths:
+        table[k] = weight(k)
+    return table
 
 
 def _tabulate(
-    skel: _Skeleton, weight: Callable[[int], float]
+    skel: _Skeleton, log_weight: np.ndarray, rows: slice = slice(None)
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The codes and log-probs lgw + weight(k) over a shape table's rows,
-    evaluating the weight once per width k, in ascending order, and
-    leaving out shapes of zero mass. Each log-prob is one float add, as in
-    a row-by-row loop. With no shape left out the codes are the shape
-    table's own tuple."""
-    table = np.empty(max(skel.widths, default=-1) + 1)
-    for k in skel.widths:
-        table[k] = weight(k)
-    log_probs = skel.lgw + table[skel.width]
+    """The codes and log-probs lgw + log_weight over a shape table's rows
+    (all, or one root degree's slice), leaving out shapes of zero mass.
+    Each log-prob is one float add, as in a row-by-row loop. With no shape
+    left out the codes of a whole table are its own tuple."""
+    codes, log_probs = skel.codes[rows], skel.lgw[rows] + log_weight
     keep = log_probs != LOG_ZERO
     if keep.all():
-        return skel.codes, log_probs
-    return tuple(compress(skel.codes, keep.tolist())), log_probs[keep]
+        return codes, log_probs
+    return tuple(compress(codes, keep.tolist())), log_probs[keep]
 
 
 def _finalize(
     p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict,
-    codes: tuple[str, ...], log_probs: np.ndarray, codes_sorted: bool,
+    codes: tuple[str, ...], log_probs: np.ndarray,
 ) -> TruncatedLaw:
     meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
             "degree_cap": str(degree_cap), **params}
-    law = TruncatedLaw._from_columns(codes, log_probs, codes_sorted, LOG_ZERO, meta)
+    law = TruncatedLaw._from_columns(codes, log_probs, LOG_ZERO, meta)
     law.log_residual = log_sub(0.0, law_normalize_check(law))
     return law
 
@@ -734,16 +729,14 @@ def _finalize(
 @dataclass(frozen=True)
 class _Law:
     """One ball law, read by both its family and its (h, k0) view: the log
-    width weight, the pinned root degree of its support (None: free), the
-    hidden-sibling series k -> log T(k) over a list of widths, and its meta
-    entries beyond eta, q, law, h and degree_cap. The callables look their
-    functions up by module name at call time, so a wrapper installed on
-    this module sees every call."""
+    width weight, the hidden-sibling series k -> log T(k) over a list of
+    widths, and its meta entries beyond eta, q, law, h and degree_cap. The
+    callables look their functions up by module name at call time, so a
+    wrapper installed on this module sees every call."""
 
     kind: str
     weight: Callable[[int], float]
     params: dict[str, str] = field(default_factory=dict)
-    root_degree: int | None = None
     sibling_sum: Callable[[list[int]], dict[int, float]] | None = None
 
 
@@ -775,15 +768,14 @@ def _check_view(h: int, k0: int) -> None:
 def _family(
     p: OffspringParams, h: int, degree_cap: int, law: _Law, lowest: int = 1
 ) -> TruncatedLaw:
-    """The law tabulated over every ball shape of its support with height
-    <= h and degrees <= degree_cap; lowest is the smallest radius."""
+    """The law tabulated over every ball shape with height <= h and
+    degrees <= degree_cap; lowest is the smallest radius."""
     if h < lowest:
         raise ValidationError(f"radius must be >= {lowest}")
-    codes, log_probs = _tabulate(
-        _skeleton(p, h, degree_cap, law.root_degree), law.weight
-    )
-    # one shape table, so in code order
-    return _finalize(p, h, degree_cap, law.kind, law.params, codes, log_probs, True)
+    skel = _skeleton(p, h, degree_cap, None)
+    log_weight = _weights(law.weight, skel.widths)[skel.width]
+    return _finalize(p, h, degree_cap, law.kind, law.params,
+                     *_tabulate(skel, log_weight))
 
 
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
@@ -817,11 +809,14 @@ def condensation_family(
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the fat limit tree, tabulated. The support is
     every ball with root degree exactly k0 and height <= h, dying
-    truncations included."""
+    truncations included: the root-degree-k0 rows of the view's table."""
     _check_view(h, k0)
-    law = _Law("condensation", lambda k: _log_condensation_weight(p, h, k),
-               {"k0": str(k0)}, root_degree=k0)
-    return _family(p, h, degree_cap, law)
+    table = ((), np.empty(0))  # past the cap: no support, and no table built
+    if k0 <= degree_cap:
+        skel = _skeleton(p, h, degree_cap, k0)
+        weight = _weights(lambda k: _log_condensation_weight(p, h, k), skel.widths)
+        table = _tabulate(skel, weight[skel.width[skel.rows[k0]]], skel.rows[k0])
+    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)}, *table)
 
 
 def _restricted_family(
@@ -840,30 +835,25 @@ def _restricted_family(
     and T(k) the weighted hidden-sibling series.
     """
     _check_view(h, k0)
-    # the blocks share widths: evaluate each width's weight once per build
-    weight = cache(law.weight)
-    blocks = [_tabulate(_skeleton(p, h, degree_cap, j), weight) for j in range(1, k0)]
     skel = _skeleton(p, h, degree_cap, k0)
-    # weights before the series, so a weight's own check (Kesten: eta < 1)
-    # is the error a caller sees
-    own = {k: weight(k) for k in skel.widths}
-    # past the cap the k0 block is empty and needs no series
-    t_table = law.sibling_sum(list(own)) if own else {}
-    log_cq = _log_fat_constant(p)
-    if h > 1 and p.kappa > 0.0:
-        gap = p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
-    else:
-        gap = 0.0
-    log_own = math.log1p(math.exp(log_cq) * gap)
-    blocks.append(_tabulate(
-        skel, lambda k: log_add(own[k] + log_own, log_cq + t_table[k])
-    ))
-    # root degrees 1 .. k0 in turn: past 9 that is not the codes' string order
-    codes = tuple(chain.from_iterable(c for c, _ in blocks))
-    log_probs = np.concatenate([lp for _, lp in blocks])
+    # every width weight before the series, so a weight's own check
+    # (Kesten: eta < 1) is the error a caller sees
+    own = _weights(law.weight, skel.widths)
+    log_weight = own[skel.width]
+    # past the cap no ball has root degree k0, and none needs the series
+    if k0 in skel.rows:
+        top = skel.width[skel.rows[k0]]
+        widths = np.unique(top).tolist()
+        t_table = law.sibling_sum(widths)
+        log_cq = _log_fat_constant(p)
+        gap = (p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
+               if h > 1 and p.kappa > 0.0 else 0.0)
+        log_own = math.log1p(math.exp(log_cq) * gap)
+        fat = _weights(lambda k: log_add(own.item(k) + log_own, log_cq + t_table[k]), widths)
+        log_weight[skel.rows[k0]] = fat[top]
     params = {"k0": str(k0), **law.params}
     return _finalize(p, h, degree_cap, law.kind + "-restricted", params,
-                     codes, log_probs, _increasing(codes))
+                     *_tabulate(skel, log_weight))
 
 
 def kesten_restricted_family(

@@ -251,25 +251,35 @@ def shape_pool(
     enumerate_trees yields are, root degree by root degree, each root of
     degree d over the d-fold product of the pool, in itertools.product
     order. Raises ResourceError before building any pool if the count
-    exceeds max_trees.
+    exceeds max_trees."""
+    return _shape_pool(height, degree_cap, _roots(degree_cap, root_degree), max_trees)
+
+
+def _roots(degree_cap: int, root_degree: int | None) -> Sequence[int]:
+    """The root degrees of an enumeration in string order: every degree
+    up to the cap, or the pinned one if it is within the cap."""
+    if root_degree is None:
+        return sorted(range(degree_cap + 1), key=str)
+    return (root_degree,) if root_degree <= degree_cap else ()
+
+
+def _shape_pool(height: int, degree_cap: int, roots: Sequence[int],
+                max_trees: int = MAX_TREES) -> tuple[Sequence[int], list]:
+    """shape_pool over the given root degrees, which must be in string
+    order. The count cap bounds the trees over all of them together.
 
     The pool is built bottom-up from the lone root, each level the
     product over the one below with root degrees in string order. Codes
     are prefix free and "," sorts below every digit, so the pool, and the
     trees over it, come out in code (string) order. Only a root with
     children draws on the pool, so without one it is empty."""
-    n = _count(height, degree_cap, root_degree, max_trees)
-    if n > max_trees:
+    if _count(height, degree_cap, roots, max_trees) > max_trees:
         raise ResourceError(
             f"enumeration would produce more than the cap of {max_trees} trees"
         )
-    every = sorted(range(degree_cap + 1), key=str)
-    if root_degree is None:
-        roots = every
-    else:
-        roots = (root_degree,) if root_degree <= degree_cap else ()
     if height == 0 or not any(roots):
         return roots, []
+    every = _roots(degree_cap, None)
     subs = [_hang(*_plant(0))]  # every tree of height <= 0
     for _ in range(height - 1):
         subs = [_hang(*tree) for d in every
@@ -299,33 +309,30 @@ def count_trees(
     Root degree pinned to d:  1 if d == 0, else N(h-1)^d (0 at h = 0 or
     d > D). Exact integers.
     """
-    return _count(height, degree_cap, root_degree, math.inf)
+    return _count(height, degree_cap, _roots(degree_cap, root_degree), math.inf)
 
 
-def _count(height: int, degree_cap: int, root_degree: int | None, limit) -> int:
-    """count_trees, except that a count above `limit` comes back as
-    limit + 1. The recurrence never decreases from one level to the next,
-    and a pinned root's power of N(h-1) is at least N(h-1), so once a
-    partial sum passes the limit the count does too: the comparison with
-    the limit stays exact without forming the exact count, whose digits
-    double with each level."""
+def _count(height: int, degree_cap: int, roots: Sequence[int], limit) -> int:
+    """The number of trees over the given root degrees, except that a
+    count above `limit` comes back as limit + 1. The recurrence never
+    decreases from one level to the next, and a positive root degree's
+    power of N(h-1) is at least N(h-1), so once a partial sum passes the
+    limit the count does too: the comparison with the limit stays exact
+    without forming the exact count, whose digits double with each level."""
     if height < 0 or degree_cap < 0:
         raise ValidationError("height and degree_cap must be >= 0")
-    if root_degree is not None and root_degree > degree_cap:
-        return 0
-    if root_degree == 0:
-        return 1
-    n = 1
-    for _ in range(height if root_degree is None else height - 1):
+    if height == 0 or not any(roots):
+        return int(0 in roots)  # the lone root, if it is a root degree
+    n = 1  # N(0)
+    for level in range(1, height + 1):
+        # N(level), over the given root degrees at the top level
         total = 0
-        for d in range(degree_cap + 1):
+        for d in roots if level == height else range(degree_cap + 1):
             total += n**d
             if total > limit:
                 return limit + 1
         n = total
-    if root_degree is not None:
-        n = n**root_degree if height > 0 else 0
-    return n if n <= limit else limit + 1
+    return n
 
 
 def enumerate_trees(

@@ -96,6 +96,112 @@ def test_law_restricted_view(capsys):
     assert law.meta["k0"] == "2"
 
 
+# `law` output pinned across changes, CSV and JSON: every regime at
+# (eta, q) = (0.5, 0.5), the three views at k0 = 2, the fat limit at cap
+# 40, and the five families at a subcritical and a supercritical pair
+PINNED_LAWS = [
+    ("--regime gw --eta 0.5 --q 0.5 --height 2 --degree-cap 3",
+     "3f1c559f1aa9504cc6cf4a167e60897aef6a4b58ec595548f67381ec5e1ab991",
+     "78e7cb57851b91535a5f99f007eac8a8628b2e1ecc13482895daa6e4f8544405"),
+    ("--regime conditioned --n 3 --a 2 --eta 0.5 --q 0.5 --height 2 --degree-cap 3",
+     "a5340605682e55d3933f25615c84ea39c0fbda68c160c0d0f0b2b69659c01692",
+     "cce40d7401ddbaf7d562147217e8e2904782a057b382f799304ae89e714ad323"),
+    ("--regime kesten --eta 0.5 --q 0.5 --height 2 --degree-cap 3",
+     "5abb49b3e2aafda16041648ae25a5fc3b950c7392fb9206f55bcb70220318631",
+     "be93d16ae076d6490bdd4d65b96e2b42d9c9dcb359a2dc559418edb2473f695e"),
+    ("--regime poisson --theta 0.7 --eta 0.5 --q 0.5 --height 2 --degree-cap 3",
+     "415cf4701b89e4b97612939bcb602a4d96db0c195e251f338f368ba213ed5e6e",
+     "add3b0a2f02b75422a1e8777ec80f5a744c0997b9a1b1490933e182b253fb06e"),
+    ("--regime condensation --k0 2 --eta 0.5 --q 0.5 --height 2 --degree-cap 3",
+     "e36fcf26b1d287d3795fb00229ab7bef70c91fc32029b41f6a56c6cf194cedcc",
+     "9b26e0419659c709c61e983dc030e05542015bde6d3515220a96d3fde5af0966"),
+    ("--regime gw --eta 0.3 --q 0.5 --height 2 --degree-cap 3",
+     "7444bd4dbd303d6aca39374a4084701f6d180aa9ef2f33e9be797d63fb0eab9e",
+     "86360328f581c41e2b689f16376a0f7b2aa898417532a6cb256316e7356cbc4d"),
+    ("--regime conditioned --n 3 --a 2 --eta 0.3 --q 0.5 --height 2 --degree-cap 3",
+     "6ffa1bf801a472900ba4da705d76e4f55e4b90f507eac91a298a9c3f4249876f",
+     "3ae26221fa27c91fdc40c7eac396d042266cc45b3d4de66461b4865694d52642"),
+    ("--regime kesten --eta 0.3 --q 0.5 --height 2 --degree-cap 3",
+     "224a9c19af1092c85b803c5eff98a642e11772cb771d9b03261a58b5f67b8229",
+     "af0458cf616e6a11c2566afbcbddedaf8cc97945af65dbadf0b013f2611f5ff9"),
+    ("--regime poisson --theta 0.7 --eta 0.3 --q 0.5 --height 2 --degree-cap 3",
+     "7be46164bbfc390eb0a0a63e563fe7f75213d92b8525c366d7f68476dfca7601",
+     "7edf6faa15acf0870fd58d5f2cc62087cce5dfd81857c1632452f34404869bbd"),
+    ("--regime condensation --k0 2 --eta 0.3 --q 0.5 --height 2 --degree-cap 3",
+     "da93edf63ea71bf09b75e7066ac628adcd463f056e41318ae0d4818e8445c273",
+     "f1f28d17dad37192f9d44b35c0699de36ae9c9ba643cbe87950b83bd0e2ee4aa"),
+    ("--regime gw --eta 0.6 --q 0.3 --height 2 --degree-cap 3",
+     "71d15c3a01e6fb0c21baf1f056a0a7177ce28eb493d9bb2b6275d5047e27c264",
+     "5c54bf417b0c745440eeb990a3bfb04abf2d6e82fc0037f65b2d2da0ae4d84a5"),
+    ("--regime conditioned --n 3 --a 2 --eta 0.6 --q 0.3 --height 2 --degree-cap 3",
+     "a13db5f5eaebdd1a0f74e8c465d2ab59e9ae2b8b26eb281bd06cd9253dd4800c",
+     "b56c9158b7ee41a3d06cf2e71e41c208dcf13c2e7bcce29678879759c1382a8a"),
+    ("--regime kesten --eta 0.6 --q 0.3 --height 2 --degree-cap 3",
+     "16021dc67c20e556503928a5085d6c5113147d2f03f44db9699b27537caba31f",
+     "2b07377e55ff58386875133b90a01772cbe0a8aa24b837d8d647c7993d33234c"),
+    ("--regime poisson --theta 0.7 --eta 0.6 --q 0.3 --height 2 --degree-cap 3",
+     "615866c70799cbfde767c0f135c127883bea422483ffecec9afd68a9ec29fbae",
+     "fd2d4a6090ed9719a103e0464cde9cd3bc0386c7328e970ecb525c57429ddbb0"),
+    ("--regime condensation --k0 2 --eta 0.6 --q 0.3 --height 2 --degree-cap 3",
+     "745df1036c55e8b2a8f379a35de8267b739951f261a3dfd0462a318917f3ff39",
+     "97dc55a3702abd5324351422549c1639df5c4de34cd5e2de4f97e33957406254"),
+    ("--regime conditioned --n 3 --a 2 --eta 0.5 --q 0.5 --height 2 --degree-cap 3 --k0 2",
+     "39f22d11e24c664e1bf58f922a11ae56cd171365f5305dbc93880bfaab091998",
+     "8ca5f76b38c0beed1e0e48564cb8de808d8b32099086286ed2ced24a29d94eea"),
+    ("--regime kesten --eta 0.5 --q 0.5 --height 2 --degree-cap 3 --k0 2",
+     "88a7bdcedf48d3ba2adf97db0123774b080eb33244db6f7c55a973f73f4b8f6c",
+     "71ecf863c0effd1788e2feafcee4aa6eb835b832fcd1975b7ce014fdb4c41b64"),
+    ("--regime poisson --theta 0.7 --eta 0.5 --q 0.5 --height 2 --degree-cap 3 --k0 2",
+     "6834ebd8dcfd5a028dd4894b7e1447395eaa334db1ed3a505e99536ecc0be4fb",
+     "2263a61646431e279e93da286f538e58a5b2020d6d6feae81ecfb8e5442c5589"),
+    ("--regime condensation --k0 2 --eta 0.5 --q 0.5 --height 2 --degree-cap 40",
+     "5320a8f4e96dc188084150fff162e62ce13e095f74013ff38a5de79cbc3f9acb",
+     "a1beccae130b21393d2ce68499027c95e174f58d7adbeec442f58b97980f8539"),
+]
+# views listing root degrees past 9, and the fat limit beside them. The
+# mass check sums a table in its code order, so these residuals are pinned
+# for that order (a sum in root-degree order moves one of them by an ulp)
+PINNED_WIDE_VIEWS = [
+    ("--regime conditioned --n 3 --a 2 --eta 0.5 --q 0.5 --height 1 --degree-cap 12 --k0 12",
+     "6abf5b779f320421e4f3f5bd995284b4760b861c09896b76e6ca45fcd62941e0",
+     "14f7c4b59b0d16b131546f3464e7a317bb5233e7f4718ed468d643d044ceef9c"),
+    ("--regime conditioned --n 3 --a 2 --eta 0.3 --q 0.5 --height 1 --degree-cap 10 --k0 10",
+     "0528849c6c2fdfa6f943d6415cbb9c764e79424bbb3ac5084db3413e4f6954d3",
+     "5541228bf7ee8c3289a2d715bacd8b655a3a1b405fbbd9fb138137a8076e50e9"),
+    ("--regime kesten --eta 0.5 --q 0.5 --height 1 --degree-cap 12 --k0 12",
+     "3bd00bad33a99dc8f65633a952de58b0a4a774a26b2a4be751ceb57a73a8a6af",
+     "bdb28f4c827f273bad34d7a2bec19717c0e8e7b6e76b5b4502998c38af813e69"),
+    ("--regime kesten --eta 0.3 --q 0.5 --height 1 --degree-cap 10 --k0 10",
+     "33fbff92afa03f540d7d411e205526a7f0cbc148f19306b663246e80a35f3cb9",
+     "e02a49b3776c72388182c5fe0acb6649ad0edbd8afff5ad75374c9418b1037e4"),
+    ("--regime poisson --theta 0.7 --eta 0.5 --q 0.5 --height 1 --degree-cap 12 --k0 12",
+     "a53f7a3edce06554e295b22512e5c0854f62af460c20b2902a351eb24b972746",
+     "42f3eed6cf2591367f8933779fff704b5e9ee3b6c43e52be74bf8eb8ba725e39"),
+    ("--regime poisson --theta 0.7 --eta 0.3 --q 0.5 --height 1 --degree-cap 10 --k0 10",
+     "bb3e30d3b1f7f62b34a159c63cafce6c8b8fac823408fae2e04d887e61ba7f61",
+     "06b4e361a7f3687a5ef0760aa12f7216f3578ba2c4ccce92d7c279d8cf6add96"),
+    ("--regime condensation --eta 0.5 --q 0.5 --height 1 --degree-cap 12 --k0 12",
+     "2aedcec83595f556c4513dfa8ff60469790f490c1bb576559b7ff3155511d9b7",
+     "dfad9ebe6348d4b7f59a9953be55192b8b45fa28ba1aef9e8c394d2a382b26ec"),
+    ("--regime condensation --eta 0.3 --q 0.5 --height 1 --degree-cap 10 --k0 10",
+     "ab62cee6dfe2afc882c46c3a57c4a585972f05e51f2ee091808913f6631f5727",
+     "a5c8b3d1fe80a38ba8fe878ff225adce2e54539f733ce85f0887e5e3c51d8379"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,csv_digest,json_digest",
+    PINNED_LAWS + PINNED_WIDE_VIEWS,
+    ids=[args.removeprefix("--regime ").replace("--", "")
+         for args, _, _ in PINNED_LAWS + PINNED_WIDE_VIEWS],
+)
+def test_law_output_is_pinned(capsys, args, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        code, out, err = run(capsys, "law", *args.split(), "--format", fmt)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import operator
+import random
 import time
 from fractions import Fraction
 
@@ -671,13 +672,53 @@ def test_unrestricted_families_share_one_skeleton():
     assert plain.codes is exactlaw._skeleton(SUB, 2, 3, None).codes
 
 
-def _reference_skeletons(params, h, cap, root_degree):
+@pytest.mark.parametrize("h,k0,cap", [(2, 2, 3), (1, 10, 12), (2, 5, 3)])
+def test_a_view_and_its_fat_limit_share_one_skeleton(h, k0, cap):
+    # the condensation family is the root-degree-k0 slice of the view's
+    # table, and the three views read all of it
+    exactlaw._skeleton.cache_clear()
+    fat = condensation_family(SUB, h, k0, cap)
+    views = [
+        conditioned_restricted_family(SUB, 5, 3, h, k0, cap),
+        kesten_restricted_family(SUB, h, k0, cap),
+        poisson_restricted_family(SUB, h, k0, 0.7, cap),
+    ]
+    # past the cap the fat limit has no support and reads no table
+    assert exactlaw._skeleton.cache_info().misses == 1
+    skel = exactlaw._skeleton(SUB, h, cap, k0)
+    assert set(skel.rows) == set(range(1, min(k0, cap) + 1))
+    assert fat.codes == skel.codes[skel.rows.get(k0, slice(0))]
+    for view in views:
+        assert set(view.codes) <= set(skel.codes)
+
+
+def test_a_view_table_is_capped_as_a_whole():
+    # (h, k0, cap) = (2, 6, 12): 13^6 = 4,826,809 balls of root degree 6
+    # and 5,229,042 over root degrees 1 .. 6, past the cap of 5,000,000
+    assert count_trees(2, 12, root_degree=6) <= MAX_TREES
+    for build in (
+        lambda: condensation_family(CRIT, 2, 6, 12),
+        lambda: kesten_restricted_family(CRIT, 2, 6, 12),
+    ):
+        with pytest.raises(ResourceError, match="more than the cap of 5000000"):
+            build()
+
+
+def _view_count(h, cap, k0):
+    if k0 is None:
+        return count_trees(h, cap)
+    return sum(count_trees(h, cap, root_degree=j) for j in range(1, min(k0, cap) + 1))
+
+
+def _reference_skeletons(params, h, cap, k0):
     # the route _skeleton took before it folded pool annotations: build
-    # every tree, then walk it in preorder; one tree walk serves every
-    # parameter set
+    # every tree of the table's root degrees, then walk it in preorder;
+    # one tree walk serves every parameter set
     pmfs = [[p.log_pmf(d) for d in range(cap + 1)] for p in params]
     tables = [[] for _ in params]
-    for t in enumerate_trees(h, cap, root_degree=root_degree):
+    roots = [None] if k0 is None else range(1, min(k0, cap) + 1)
+    trees = (t for r in roots for t in enumerate_trees(h, cap, root_degree=r))
+    for t in trees:
         code, k = t.encode(), t.z(h)
         above = [d for d, dep in zip(t.degrees, t.depths) if dep < h]
         for pmf, rows in zip(pmfs, tables):
@@ -689,48 +730,63 @@ def _reference_skeletons(params, h, cap, root_degree):
     return tables
 
 
+# the free-root table (None) and views of each k0; a view past the cap
+# stops at root degree cap
 _SKELETON_CASES = [
-    *((h, cap, (None, 0, 1, 2, 5))
-      for h, cap in [(0, 3), (1, 40), (2, 6), (3, 3), (4, 2), (30, 1)]),
-    # two-digit degrees inside the pool entries; the free root and roots 10
-    # and 12 (13^10 and 13^12 balls) exceed the enumeration cap
-    (2, 12, (1, 2, 3, 10, 12)),
+    (0, 3, (None,)),
+    (1, 40, (None, 1, 2, 5, 41)),
+    (2, 6, (None, 1, 2, 5)),
+    (3, 3, (None, 1, 2)),
+    (4, 2, (None, 1, 5)),
+    (30, 1, (None, 1, 5)),
+    # two-digit degrees inside the pool entries; the free root and the
+    # views past k0 = 5 exceed the enumeration cap, and the views at k0 10
+    # and 12 list root degrees 1, 10, 11, 12, 2, ... in string order
+    (2, 12, (None, 1, 2, 3, 10, 12)),
+    (1, 12, (10, 12)),
 ]
 
 
 @pytest.mark.parametrize(
-    "h,cap,roots", _SKELETON_CASES, ids=[f"{h}-{cap}" for h, cap, _ in _SKELETON_CASES]
+    "h,cap,views", _SKELETON_CASES, ids=[f"{h}-{cap}" for h, cap, _ in _SKELETON_CASES]
 )
-def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap, roots):
+def test_skeleton_rows_match_the_tree_walk_bit_for_bit(h, cap, views):
     # PURE has log_pmf(0) = -inf: a leaf above the bottom zeroes the mass
     params = FIXTURES + (PURE,)
-    for root_degree in roots:
-        if count_trees(h, cap, root_degree=root_degree) > MAX_TREES:
+    for k0 in views:
+        if _view_count(h, cap, k0) > MAX_TREES:
             with pytest.raises(ResourceError):
-                exactlaw._skeleton(CRIT, h, cap, root_degree)
+                exactlaw._skeleton(CRIT, h, cap, k0)
             continue
-        refs = _reference_skeletons(params, h, cap, root_degree)
+        refs = _reference_skeletons(params, h, cap, k0)
         for p, ref in zip(params, refs):
-            got = exactlaw._skeleton(p, h, cap, root_degree)
+            got = exactlaw._skeleton(p, h, cap, k0)
             bits = [
                 (code, lgw.hex(), k)
                 for code, lgw, k in zip(got.codes, got.lgw.tolist(), got.width.tolist())
             ]
-            assert bits == ref, (p, root_degree)
+            assert bits == ref, (p, k0)
             # each distinct width once, ascending
             assert got.widths == tuple(sorted({k for _, _, k in ref}))
+            # each root degree's rows, one slice each (empty at h = 0 past
+            # the root degree 0)
+            for d, rows in got.rows.items():
+                assert {code.split(",", 1)[0] for code in got.codes[rows]} <= {str(d)}
+            assert sum(r.stop - r.start for r in got.rows.values()) == len(ref)
 
 
-def _reference_tabulate(rows, weight):
+def _reference_tabulate(rows, weight_of):
     # the dict tabulator the families used before their tables became
     # columns: one row at a time, each width's weight evaluated at its
-    # first row, zero-mass shapes left out
+    # first row, zero-mass shapes left out; weight_of(code) picks the
+    # row's weight
     weights = {}
     entries = {}
     for code, lgw, k in rows:
-        if k not in weights:
-            weights[k] = weight(k)
-        lp = lgw + weights[k]
+        weight = weight_of(code)
+        if (weight, k) not in weights:
+            weights[weight, k] = weight(k)
+        lp = lgw + weights[weight, k]
         if lp != -math.inf:
             entries[code] = lp
     return entries
@@ -757,11 +813,12 @@ _TABLE_CASES = [
              _meta(p, h, 4, "condensation", k0="2")),
         )
     ),
-    # at k0 = 10 the root-degree blocks are not in string order
+    # at k0 = 10 the root degrees go 1, 10, 2, ... in string order; at
+    # (2, 5, 3) the view stops at the cap, short of root degree k0
     *(
         case
         for p in FIXTURES
-        for h, k0, cap in ((1, 1, 4), (2, 2, 4), (1, 10, 10), (1, 12, 12))
+        for h, k0, cap in ((1, 1, 4), (2, 2, 4), (1, 10, 10), (1, 12, 12), (2, 5, 3))
         for case in (
             (lambda p=p, h=h, k0=k0, cap=cap: kesten_restricted_family(p, h, k0, cap),
              _meta(p, h, cap, "kesten-restricted", k0=str(k0))),
@@ -782,31 +839,71 @@ _TABLE_CASES = [
          + (f"-k0{m['k0']}" if "k0" in m else "") for _, m in _TABLE_CASES],
 )
 def test_tables_match_the_dict_tabulator_bit_for_bit(monkeypatch, build, meta):
-    # every block a law tabulates, in the order it tabulates them, goes
-    # through the dict tabulator too; the blocks' tables joined in that
-    # order, and the mass summed over the joined values, are the reference
-    calls = []
-    tabulate = exactlaw._tabulate
+    # the shape table a law reads goes through the dict tabulator too, with
+    # the width weights the law evaluates, in order: its own weight, then
+    # for a view the weight F of the root-degree-k0 rows; the condensation
+    # family reads those rows alone. The mass summed over the reference's
+    # values in table order is the reference residual
+    tables, weights = [], []
+    skeleton, tabulate_weights = exactlaw._skeleton, exactlaw._weights
 
-    def spy(skel, weight):
-        calls.append((skel, weight))
-        return tabulate(skel, weight)
+    def skeleton_spy(*args):
+        tables.append(skeleton(*args))
+        return tables[-1]
 
-    monkeypatch.setattr(exactlaw, "_tabulate", spy)
+    def weights_spy(weight, widths):
+        weights.append(weight)
+        return tabulate_weights(weight, widths)
+
+    monkeypatch.setattr(exactlaw, "_skeleton", skeleton_spy)
+    monkeypatch.setattr(exactlaw, "_weights", weights_spy)
     law = build()
     entries = {}
-    for skel, weight in calls:
+    top = meta.get("k0")
+
+    def weight_of(code):
+        # a view's last weight is F; the condensation family's one weight
+        # covers its rows, all of root degree k0
+        return weights[-1] if code.split(",", 1)[0] == top else weights[0]
+
+    for skel in tables:
         rows = zip(skel.codes, skel.lgw.tolist(), skel.width.tolist())
-        entries.update(_reference_tabulate(rows, weight))
+        if meta["law"] == "condensation":
+            rows = (row for row in rows if row[0].split(",", 1)[0] == top)
+        entries.update(_reference_tabulate(rows, weight_of))
     residual = log_sub(0.0, log_sum(entries.values()))
+    assert len(tables) <= 1
     assert list(law.entries) == list(entries)
     assert [v.hex() for v in law.entries.values()] == [v.hex() for v in entries.values()]
     assert law.log_residual.hex() == residual.hex()
     assert law.meta == meta
-    # blocks go by root degree, 1 .. k0, whatever their string order
-    degrees = [int(code.split(",", 1)[0]) for code in law.codes]
-    assert degrees == sorted(degrees)
-    assert law.codes_sorted == (list(law.codes) == sorted(law.codes))
+
+
+def _order_cases():
+    # five families and three views at k0 1, 2, 10 and 12: within the cap
+    # at (h, cap) = (1, 12), past it for k0 10 and 12 at (1, 10) and (2, 3)
+    for p in (SUB, CRIT):
+        for h, cap in ((1, 12), (1, 10), (2, 3)):
+            yield gw_family(p, h, cap)
+            yield conditioned_family(p, 5, 3, h, cap)
+            yield kesten_family(p, h, cap)
+            yield poisson_family(p, h, 0.7, cap)
+            for k0 in (1, 2, 10, 12):
+                yield condensation_family(p, h, k0, cap)
+                yield conditioned_restricted_family(p, 5, 3, h, k0, cap)
+                yield kesten_restricted_family(p, h, k0, cap)
+                yield poisson_restricted_family(p, h, k0, 0.7, cap)
+    law = kesten_restricted_family(CRIT, 1, 12, 12)
+    shuffled = list(law.entries.items())
+    random.Random(3).shuffle(shuffled)
+    assert [c for c, _ in shuffled] != sorted(law.codes)
+    yield TruncatedLaw(dict(shuffled), law.log_residual, law.meta)
+
+
+def test_every_law_is_in_code_order():
+    for law in _order_cases():
+        assert all(a < b for a, b in zip(law.codes, law.codes[1:])), law.meta
+        assert list(law.entries) == list(law.codes)
 
 
 def test_oversized_family_fails_before_any_walk():
@@ -850,10 +947,9 @@ def test_law_csv_layout():
 
 
 def test_law_csv_sorts_a_wide_view():
-    # a k0 >= 10 view lists its root-degree blocks 1 .. k0, which past 9
-    # is not string order; the file is sorted all the same
+    # a k0 >= 10 view lists root degrees past 9, which go 1, 10, 2, ... in
+    # code order, in the table and in the file
     law = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
-    assert not law.codes_sorted
     buf = io.StringIO()
     law.write_csv(buf)
     back = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))

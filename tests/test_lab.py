@@ -234,7 +234,8 @@ def _bundled(name):
 
 
 def _table_pairs():
-    # merged skeleton blocks against one block, partly disjoint
+    # a view against its fat limit, the view's root-degree-k0 rows:
+    # partly disjoint
     yield (
         conditioned_restricted_family(SUP, 6, 4, 2, 2, 5),
         condensation_family(SUP, 2, 2, 5),
@@ -253,18 +254,17 @@ def _table_pairs():
     # the codes of one shape table, as both weights drop its width-0 shapes:
     # read in place
     cond, kesten = conditioned_family(CRIT, 5, 3, 2, 4), kesten_family(CRIT, 2, 4)
-    assert cond.codes == kesten.codes and cond.codes_sorted
+    assert cond.codes == kesten.codes
     yield cond, kesten
     # codes that differ only by zero-mass filtering: the plain law keeps the
     # width-0 shapes the Kesten weight drops
     yield gw_family(CRIT, 2, 4), kesten
-    # a k0 = 10 view, whose root-degree blocks are not in string order,
-    # against its limit law
+    # a k0 = 10 view, root degrees 1, 10, 2, ... in code order, against
+    # its limit law
     view = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
-    assert not view.codes_sorted
     yield view, condensation_family(CRIT, 1, 10, 10)
-    # one shuffled code order shared by both tables: the in-place read
-    # would sum in that order, so these must take the merge
+    # tables built from one shuffled entries order: each sorts its codes,
+    # so the in-place read sums in code order
     laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
     order = list(laws[0].entries)
     random.Random(7).shuffle(order)

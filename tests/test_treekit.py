@@ -12,7 +12,7 @@ from geomgw import (
     count_trees,
     enumerate_trees,
 )
-from geomgw.treekit import shape_pool
+from geomgw.treekit import _shape_pool, shape_pool
 
 CHAIN = OrderedTree((1, 1, 0))          # root - child - grandchild
 CHERRY = OrderedTree((2, 0, 0))         # root with two leaf children
@@ -162,6 +162,16 @@ def test_enumeration_guard_counts_walked_shapes():
     # pinning the root degree still counts every shape below it
     with pytest.raises(ResourceError):
         list(enumerate_trees(3, 30, root_degree=1, max_trees=1000))
+
+
+def test_count_cap_bounds_every_root_degree_together():
+    # root degrees 1, 2, 3 over the 4 shapes of height <= 1 at cap 3:
+    # 4 + 16 + 64 = 84 balls, each root degree within a cap of 83 alone
+    assert max(count_trees(2, 3, root_degree=d) for d in (1, 2, 3)) <= 83
+    roots, pool = _shape_pool(2, 3, [1, 2, 3], max_trees=84)
+    assert sum(len(pool) ** d for d in roots) == 84
+    with pytest.raises(ResourceError, match="more than the cap of 83 trees"):
+        _shape_pool(2, 3, [1, 2, 3], max_trees=83)
 
 
 def test_restriction_properties_on_enumerated_trees():
