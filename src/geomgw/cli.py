@@ -30,18 +30,8 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .exactlaw import (
-    TruncatedLaw,
-    condensation_family,
-    conditioned_family,
-    conditioned_restricted_family,
-    gw_family,
-    kesten_family,
-    kesten_restricted_family,
-    poisson_family,
-    poisson_restricted_family,
-)
 from .lab import (
+    LAWS,
     ExperimentConfig,
     run_regime,
     run_theta_continuity,
@@ -52,42 +42,25 @@ from .lab import (
 from .offspring import OffspringParams
 from .oracle import equivalence_suite
 from .rng import RandomSource
-from .sampler import (
-    TypedTree,
-    sample_condensation,
-    sample_conditioned,
-    sample_gw,
-    sample_kesten,
-    sample_poisson_tree,
-)
+from .sampler import TypedTree
 
-# the options each regime of `law` and `sample` needs beyond the shared ones
-REGIME_NEEDS = {"gw": (), "conditioned": ("n", "a"), "kesten": (),
-                "poisson": ("theta",), "condensation": ("k0",)}
-# per command, the options a regime reads without needing them: --k0 asks
-# `law` for a restricted view, --variant picks the condensation sampler
-REGIME_TAKES = {
-    "law": {"conditioned": ("k0",), "kesten": ("k0",), "poisson": ("k0",)},
-    "sample": {"condensation": ("variant",)},
-}
 # every regime option, with what it selects
 REGIME_OPTIONS = {"n": "the conditioning generation",
                   "a": "the conditioning size",
                   "theta": "the skinny-family member",
                   "k0": "the restricted view",
                   "variant": "the condensation sampler"}
-LAW_REGIMES = tuple(REGIME_NEEDS)
 
 
 def _params(args: argparse.Namespace) -> OffspringParams:
     """The offspring law, once the regime's own options are all given and
     no option it does not read is."""
     p = OffspringParams(args.eta, args.q)
-    needs = REGIME_NEEDS[args.regime]
-    for name in needs:
+    regime = LAWS[args.regime]
+    for name in regime.needs:
         if getattr(args, name) is None:
             raise ValidationError(f"--{name} is required here")
-    reads = needs + REGIME_TAKES[args.command].get(args.regime, ())
+    reads = regime.needs + regime.takes.get(args.command, ())
     for name, role in REGIME_OPTIONS.items():
         if name not in reads and getattr(args, name, None) is not None:
             raise ValidationError(
@@ -106,28 +79,10 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _build_law(args: argparse.Namespace) -> TruncatedLaw:
-    p = _params(args)
-    h, cap, k0 = args.height, args.degree_cap, args.k0
-    if args.regime == "gw":
-        return gw_family(p, h, cap)
-    if args.regime == "conditioned":
-        if k0 is None:
-            return conditioned_family(p, args.n, args.a, h, cap)
-        return conditioned_restricted_family(p, args.n, args.a, h, k0, cap)
-    if args.regime == "kesten":
-        if k0 is None:
-            return kesten_family(p, h, cap)
-        return kesten_restricted_family(p, h, k0, cap)
-    if args.regime == "poisson":
-        if k0 is None:
-            return poisson_family(p, h, args.theta, cap)
-        return poisson_restricted_family(p, h, k0, args.theta, cap)
-    return condensation_family(p, h, k0, cap)
-
-
 def _cmd_law(args: argparse.Namespace) -> int:
-    law = _build_law(args)
+    p = _params(args)
+    family, family_args = LAWS[args.regime].law(p, args.height, args.degree_cap, args)
+    law = family(*family_args)
     with _open_out(args.out) as out:
         if args.format == "json":
             doc = {
@@ -142,26 +97,10 @@ def _cmd_law(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sampler(args: argparse.Namespace):
-    """The sampler behind `geomgw sample`, as a function of the draw's rng."""
-    p = _params(args)
-    h = args.height
-    if args.regime == "gw":
-        return lambda rng: sample_gw(p, rng, h)
-    if args.regime == "conditioned":
-        return lambda rng: sample_conditioned(p, args.n, args.a, rng, h)
-    if args.regime == "kesten":
-        return lambda rng: sample_kesten(p, rng, h)
-    if args.regime == "poisson":
-        return lambda rng: sample_poisson_tree(p, args.theta, rng, h)
-    variant = args.variant or "two_type"
-    return lambda rng: sample_condensation(p, args.k0, rng, h, variant=variant)
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise ValidationError(f"--samples must be >= 0, got {args.samples}")
-    draw = _build_sampler(args)
+    draw = LAWS[args.regime].sampler(_params(args), args.height, args)
     root = RandomSource(args.seed)
     # the first draw runs the sampler's own checks before --out is opened;
     # substreams are independent, so it is row 0 whatever comes after
@@ -238,7 +177,7 @@ def _add_law_options(sp: argparse.ArgumentParser) -> None:
     """The options `law` and `sample` share."""
     sp.add_argument("--eta", type=float, required=True, help="mass 1-eta at zero")
     sp.add_argument("--q", type=float, required=True, help="geometric tail parameter")
-    sp.add_argument("--regime", required=True, choices=LAW_REGIMES)
+    sp.add_argument("--regime", required=True, choices=tuple(LAWS))
     sp.add_argument("--height", type=int, required=True, help="ball radius h")
     sp.add_argument("--n", type=int, help="conditioning generation")
     sp.add_argument("--a", type=int, help="conditioning size of generation n")

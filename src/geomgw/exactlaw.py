@@ -765,13 +765,11 @@ def _check_view(h: int, k0: int) -> None:
         raise ValidationError("need h >= 1 and k0 >= 1")
 
 
-def _family(
-    p: OffspringParams, h: int, degree_cap: int, law: _Law, lowest: int = 1
-) -> TruncatedLaw:
+def _family(p: OffspringParams, h: int, degree_cap: int, law: _Law) -> TruncatedLaw:
     """The law tabulated over every ball shape with height <= h and
-    degrees <= degree_cap; lowest is the smallest radius."""
-    if h < lowest:
-        raise ValidationError(f"radius must be >= {lowest}")
+    degrees <= degree_cap."""
+    if h < 0:
+        raise ValidationError("radius must be >= 0")
     skel = _skeleton(p, h, degree_cap, None)
     log_weight = _weights(law.weight, skel.widths)[skel.width]
     return _finalize(p, h, degree_cap, law.kind, law.params,
@@ -781,7 +779,7 @@ def _family(
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
     """Radius-h ball law of the plain branching tree, tabulated over every
     ball shape with height <= h and degrees <= degree_cap."""
-    return _family(p, h, degree_cap, _Law("gw", lambda k: 0.0), lowest=0)
+    return _family(p, h, degree_cap, _Law("gw", lambda k: 0.0))
 
 
 def conditioned_family(

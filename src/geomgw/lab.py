@@ -24,7 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, TextIO
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -34,14 +35,74 @@ from .exactlaw import (
     condensation_family,
     conditioned_family,
     conditioned_restricted_family,
+    gw_family,
     kesten_family,
+    kesten_restricted_family,
     poisson_family,
     poisson_restricted_family,
 )
 from .logspace import LOG_ZERO
 from .offspring import OffspringParams
+from .sampler import (
+    sample_condensation,
+    sample_conditioned,
+    sample_gw,
+    sample_kesten,
+    sample_poisson_tree,
+)
 
-REGIMES = ("kesten", "poisson", "condensation")
+
+class _Regime(NamedTuple):
+    """What one regime name means. `needs`: the options it needs; `takes`:
+    per command, the options it reads without needing them. `law(p, h,
+    cap, o)` gives (function, args) of its law, the (h, k0) view when o.k0
+    is set and the family otherwise; `sampler(p, h, o)` gives draw(rng);
+    `a_n(c, n, o)` gives a sweep's conditioning size from the generation
+    scale c, and is None for a regime with no sweep."""
+
+    needs: tuple[str, ...]
+    takes: dict[str, tuple[str, ...]]
+    law: Callable
+    sampler: Callable
+    a_n: Callable | None = None
+
+
+# Every regime, in `--regime` order. The functions are looked up by their
+# names in this module at each call, so a wrapped family is what runs.
+LAWS = {
+    "gw": _Regime(
+        (), {},
+        lambda p, h, cap, o: (gw_family, (p, h, cap)),
+        lambda p, h, o: lambda rng: sample_gw(p, rng, h)),
+    "conditioned": _Regime(
+        ("n", "a"), {"law": ("k0",)},
+        lambda p, h, cap, o: (
+            (conditioned_family, (p, o.n, o.a, h, cap)) if o.k0 is None
+            else (conditioned_restricted_family, (p, o.n, o.a, h, o.k0, cap))),
+        lambda p, h, o: lambda rng: sample_conditioned(p, o.n, o.a, rng, h)),
+    "kesten": _Regime(
+        (), {"law": ("k0",)},
+        lambda p, h, cap, o: (
+            (kesten_family, (p, h, cap)) if o.k0 is None
+            else (kesten_restricted_family, (p, h, o.k0, cap))),
+        lambda p, h, o: lambda rng: sample_kesten(p, rng, h),
+        lambda c, n, o: c / n),
+    "poisson": _Regime(
+        ("theta",), {"law": ("k0",)},
+        lambda p, h, cap, o: (
+            (poisson_family, (p, h, o.theta, cap)) if o.k0 is None
+            else (poisson_restricted_family, (p, h, o.k0, o.theta, cap))),
+        lambda p, h, o: lambda rng: sample_poisson_tree(p, o.theta, rng, h),
+        lambda c, n, o: o.theta * c),
+    "condensation": _Regime(
+        ("k0",), {"sample": ("variant",)},
+        lambda p, h, cap, o: (condensation_family, (p, h, o.k0, cap)),
+        lambda p, h, o: lambda rng: sample_condensation(
+            p, o.k0, rng, h, variant=o.variant or "two_type"),
+        lambda c, n, o: n * c),
+}
+# the regimes a sweep compares against the conditioned tree
+REGIMES = tuple(name for name, row in LAWS.items() if row.a_n)
 
 # theta grid used when a config does not spell one out: ten decades
 DEFAULT_THETA_GRID = tuple(10.0**e for e in range(-6, 4))
@@ -156,13 +217,7 @@ def target_generation_size(cfg: ExperimentConfig, n: int) -> int:
     """
     if cfg.a_rule == "const":
         return cfg.a_const
-    c = generation_scale(cfg.params, n)
-    if cfg.regime == "kesten":
-        a = c / n
-    elif cfg.regime == "poisson":
-        a = cfg.theta * c
-    else:
-        a = n * c
+    a = LAWS[cfg.regime].a_n(generation_scale(cfg.params, n), n, cfg)
     if math.isinf(a):
         raise ValidationError(f"the target size a_n at n={n} does not fit a double")
     return max(1, round(a))
@@ -261,18 +316,16 @@ def _limit_law(family, *args) -> TruncatedLaw:
 
 
 def _regime_row(cfg: ExperimentConfig, n: int) -> tuple:
-    p = cfg.params
+    p, h, cap = cfg.params, cfg.h, cfg.degree_cap
     a = target_generation_size(cfg, n)
-    if cfg.regime == "condensation":
-        cond = conditioned_restricted_family(p, n, a, cfg.h, cfg.k0, cfg.degree_cap)
-        limit = _limit_law(condensation_family, p, cfg.h, cfg.k0, cfg.degree_cap)
-    else:
-        cond = conditioned_family(p, n, a, cfg.h, cfg.degree_cap)
-        if cfg.regime == "kesten":
-            limit = _limit_law(kesten_family, p, cfg.h, cfg.degree_cap)
-        else:
-            limit = _limit_law(poisson_family, p, cfg.h, cfg.theta, cfg.degree_cap)
-    tv, bound = tv_distance(cond, limit)
+    limit = LAWS[cfg.regime]
+    # a limit that needs k0 is compared through the (h, k0) view
+    o = SimpleNamespace(n=n, a=a, theta=cfg.theta,
+                        k0=cfg.k0 if "k0" in limit.needs else None)
+    family, args = LAWS["conditioned"].law(p, h, cap, o)
+    cond = family(*args)
+    family, args = limit.law(p, h, cap, o)
+    tv, bound = tv_distance(cond, _limit_law(family, *args))
     return n, a, tv, bound, bound <= cfg.certify_tolerance
 
 
@@ -326,8 +379,6 @@ def run_regime(
 ) -> list[ConvergenceRow]:
     """TV between the conditioned law and the regime's limit law, one row
     per grid point, in grid order."""
-    if cfg.regime == "kesten" and cfg.eta >= 1.0:
-        raise ValidationError("the kesten regime needs eta < 1")
     return _sweep(ConvergenceRow, _regime_row, cfg, cfg.n_grid, workers)
 
 

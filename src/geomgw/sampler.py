@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AuditError, ResourceError, TruncationError, ValidationError
-from .exactlaw import log_forest_pmf
+from .exactlaw import _check_theta, log_forest_pmf
 from .logspace import LOG_ZERO, log_add
 from .offspring import (
     OffspringParams,
@@ -364,10 +364,10 @@ def sample_poisson_tree(
     survivors uniformly among positive compositions, each survivor then
     draws its total degree from the size-biased law of its survivor count
     and scatters those children uniformly. Extinction nodes grow plain
-    bushes on the mirrored law.
+    bushes on the mirrored law. At theta = 0 no slot ever opens: the
+    skeleton is the Kesten spine, as the theta = 0 law says.
     """
-    if not 0.0 < theta < math.inf:
-        raise ValidationError(f"theta must be finite and > 0, got {theta}")
+    _check_theta(theta)
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     ext = extinction_params(p)

@@ -260,6 +260,8 @@ def _roots(degree_cap: int, root_degree: int | None) -> Sequence[int]:
     up to the cap, or the pinned one if it is within the cap."""
     if root_degree is None:
         return sorted(range(degree_cap + 1), key=str)
+    if root_degree < 0:
+        raise ValidationError(f"root_degree must be >= 0, got {root_degree}")
     return (root_degree,) if root_degree <= degree_cap else ()
 
 

@@ -19,39 +19,35 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 from geomgw import (
     ExperimentConfig,
     OffspringParams,
     RandomSource,
+    TypedTree,
     condensation_family,
     condensation_tree_law,
     condensation_tree_law_product,
-    conditioned_family,
     conditioned_tree_law,
     enumerate_trees,
     extinction_params,
     g_test_against_law,
     g_test_two_sample,
-    gw_family,
     iterate,
     kesten_family,
     kesten_restricted_family,
     log_forest_pmf,
     log_poisson_weight,
     per_tree_gap,
-    poisson_family,
     poisson_restricted_family,
     run_regime,
     sample_condensation,
-    sample_conditioned,
-    sample_gw,
-    sample_kesten,
-    sample_poisson_tree,
     write_regime_csv,
 )
 from geomgw import oracle
 from geomgw.cli import main as cli_main
+from geomgw.lab import LAWS
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.4, 0.5)
@@ -242,38 +238,16 @@ def test_criterion_5_sampler_g_tests():
     draws = 100_000
     cap = 5
     pvals = {}
-
-    r = RandomSource(52001)
-    counts = Counter(sample_gw(CRIT, r, 2).encode() for _ in range(draws))
-    pvals["gw"] = g_test_against_law(counts, gw_family(CRIT, 2, cap)).p_value
-
-    r = RandomSource(52002)
-    counts = Counter(sample_conditioned(CRIT, 3, 2, r, 2).encode() for _ in range(draws))
-    pvals["conditioned"] = g_test_against_law(
-        counts, conditioned_family(CRIT, 3, 2, 2, cap)
-    ).p_value
-
-    r = RandomSource(52003)
-    counts = Counter(sample_kesten(CRIT, r, 2).tree.encode() for _ in range(draws))
-    pvals["kesten"] = g_test_against_law(counts, kesten_family(CRIT, 2, cap)).p_value
-
-    r = RandomSource(52004)
-    counts = Counter(
-        sample_poisson_tree(CRIT, 0.7, r, 2).tree.encode() for _ in range(draws)
-    )
-    pvals["poisson"] = g_test_against_law(
-        counts, poisson_family(CRIT, 2, 0.7, cap)
-    ).p_value
-
-    r = RandomSource(52005)
-    counts = Counter(
-        sample_condensation(CRIT, 2, r, 2, "two_type").tree.encode()
-        for _ in range(draws)
-    )
-    pvals["condensation"] = g_test_against_law(
-        counts, condensation_family(CRIT, 2, 2, cap)
-    ).p_value
-
+    for seed, (regime, row) in enumerate(LAWS.items(), 52001):
+        # a law that needs k0 is its (h, k0) view; the others are families
+        o = SimpleNamespace(n=3, a=2, theta=0.7, variant=None,
+                            k0=2 if "k0" in row.needs else None)
+        draw = row.sampler(CRIT, 2, o)
+        r = RandomSource(seed)
+        trees = (draw(r) for _ in range(draws))
+        counts = Counter((t.tree if isinstance(t, TypedTree) else t).encode() for t in trees)
+        family, args = row.law(CRIT, 2, cap, o)
+        pvals[regime] = g_test_against_law(counts, family(*args)).p_value
     assert min(pvals.values()) > 1e-3, pvals
     _stamp(
         5, "sampler G-tests", t0, 180.0,

@@ -12,7 +12,8 @@ import pytest
 
 import geomgw
 from geomgw import TruncatedLaw
-from geomgw.cli import _resolve_config, main
+from geomgw.cli import REGIME_OPTIONS, _resolve_config, build_parser, main
+from geomgw.lab import LAWS
 
 KESTEN_LAW_ARGS = [
     "law",
@@ -269,25 +270,15 @@ def law_args_for(regime, *extra):
 @pytest.mark.parametrize(
     "regime,extra,fragment",
     [
-        ("gw", ("--k0", "2"), "restricted"),
-        ("condensation", (), "--k0"),
-        ("conditioned", (), "--n"),
-        ("poisson", (), "--theta"),
         ("poisson", ("--theta", "nan"), "theta must be finite"),
         ("poisson", ("--theta", "inf"), "theta must be finite"),
         ("poisson", ("--theta", "nan", "--k0", "1"), "theta must be finite"),
         ("gw", ("--height", "16", "--degree-cap", "2"), "more than the cap"),
         ("kesten", ("--theta", "5", "--n", "3"), "--n"),
-        ("kesten", ("--theta", "5"), "--theta"),
-        ("gw", ("--a", "2"), "--a"),
         ("poisson", ("--theta", "0.7", "--n", "3", "--a", "2"), "--n"),
-        ("condensation", ("--k0", "2", "--theta", "1"), "--theta"),
-        ("conditioned", ("--n", "5", "--a", "3", "--theta", "1"), "--theta"),
     ],
-    ids=["gw-with-k0", "condensation-needs-k0", "conditioned-needs-n", "poisson-needs-theta",
-         "theta-nan", "theta-inf", "theta-nan-restricted", "above-the-shape-cap",
-         "kesten-with-n", "kesten-with-theta", "gw-with-a", "poisson-with-n",
-         "condensation-with-theta", "conditioned-with-theta"],
+    ids=["theta-nan", "theta-inf", "theta-nan-restricted", "above-the-shape-cap",
+         "kesten-with-n", "poisson-with-n"],
 )
 def test_law_argument_contract(capsys, regime, extra, fragment):
     code, out, err = run(capsys, *law_args_for(regime, *extra))
@@ -371,36 +362,21 @@ def test_sample_is_deterministic_and_prefix_stable(capsys):
     assert second.startswith(short)
 
 
-def test_sample_missing_conditioning(capsys):
-    code, out, err = run(capsys, *sample_args("conditioned", 1))
-    assert code == 1
-    assert err.startswith("error:")
-
-
 @pytest.mark.parametrize(
     "regime,samples,extra",
     [
         ("conditioned", 0, ()),
-        ("poisson", 2, ()),
         ("kesten", 0, ("--height", "-1")),
         ("condensation", 2, ("--k0", "0")),
         ("kesten", -1, ()),
         ("poisson", 2, ("--theta", "inf")),
         ("poisson", 2, ("--theta", "1e300")),
-        ("kesten", 2, ("--k0", "1")),
         ("gw", 2, ("--theta", "5", "--n", "3", "--a", "9",
                    "--variant", "inhomogeneous")),
-        ("gw", 2, ("--n", "3")),
-        ("gw", 2, ("--variant", "inhomogeneous")),
-        ("conditioned", 2, ("--n", "3", "--a", "2", "--theta", "1")),
-        ("poisson", 2, ("--theta", "0.7", "--variant", "two_type")),
-        ("condensation", 2, ("--k0", "2", "--theta", "1")),
     ],
-    ids=["conditioned-no-draws", "poisson-needs-theta", "kesten-negative-height",
-         "condensation-zero-k0", "negative-samples", "poisson-infinite-theta",
-         "poisson-huge-theta", "kesten-k0", "gw-with-other-regimes-options",
-         "gw-with-n", "gw-with-variant", "conditioned-with-theta",
-         "poisson-with-variant", "condensation-with-theta"],
+    ids=["conditioned-no-draws", "kesten-negative-height", "condensation-zero-k0",
+         "negative-samples", "poisson-infinite-theta", "poisson-huge-theta",
+         "gw-with-other-regimes-options"],
 )
 def test_sample_checks_options_before_writing(
     tmp_path, capsys, regime, samples, extra
@@ -412,6 +388,73 @@ def test_sample_checks_options_before_writing(
     assert code == 1
     assert err.startswith("error:")
     assert not dest.exists()
+
+
+# a value each regime option accepts, and the rest of each command's argv
+OPTION_VALUES = {"n": "3", "a": "2", "theta": "0.7", "k0": "2", "variant": "inhomogeneous"}
+COMMAND_ARGS = {"law": ("--height", "2", "--degree-cap", "3"), "sample": ("--height", "2")}
+
+
+def regime_argv(command, regime, *options):
+    argv = [command, "--regime", regime, "--eta", "0.5", "--q", "0.5",
+            *COMMAND_ARGS[command]]
+    for name in options:
+        argv += [f"--{name}", OPTION_VALUES[name]]
+    return argv
+
+
+# every (command, regime, option) for the regime options each command's parser has
+CONTRACT = [
+    (command, regime, name)
+    for command in COMMAND_ARGS
+    for name in REGIME_OPTIONS
+    if name in vars(build_parser().parse_args(regime_argv(command, "gw")))
+    for regime in LAWS
+]
+
+
+@pytest.mark.parametrize(
+    "command,regime,option", CONTRACT, ids=["-".join(case) for case in CONTRACT]
+)
+def test_regime_option_contract(tmp_path, capsys, command, regime, option):
+    # a needed option left out, or an option the regime does not read, is
+    # refused before --out is opened; an option the regime takes is read
+    row = LAWS[regime]
+    needs = [name for name in row.needs if name != option]
+    given = needs if option in row.needs else [*needs, option]
+    dest = tmp_path / "out.csv"
+    code, out, err = run(capsys, *regime_argv(command, regime, *given), "--out", str(dest))
+    if option in row.takes.get(command, ()):
+        assert code == 0, err
+        return
+    if option in row.needs:
+        assert err == f"error: --{option} is required here\n"
+    else:
+        assert err == (f"error: --{option} sets {REGIME_OPTIONS[option]}, which "
+                       f"`{command} --regime {regime}` does not read\n")
+    assert code == 1
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("regime", list(LAWS))
+def test_law_and_sample_agree_at_height_zero(capsys, regime):
+    # the radius-0 ball is the lone root: a regime either gives it mass 1
+    # and draws it, or refuses height 0 in both commands
+    needs = LAWS[regime].needs
+    law_code, law_out, law_err = run(
+        capsys, *regime_argv("law", regime, *needs), "--height", "0", "--format", "json"
+    )
+    draw_code, draw_out, draw_err = run(
+        capsys, *regime_argv("sample", regime, *needs), "--height", "0"
+    )
+    assert law_code == draw_code
+    if law_code:
+        assert law_err.startswith("error:") and draw_err.startswith("error:")
+        return
+    doc = json.loads(law_out)
+    assert doc["entries"] == {"0": 0.0}
+    assert doc["log_residual"] == -math.inf
+    assert draw_out.splitlines()[1].split(",")[0] == '"0"'
 
 
 def test_sample_negative_seed_is_an_error(tmp_path, capsys):

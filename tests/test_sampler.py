@@ -424,9 +424,20 @@ def test_poisson_full_law_supercritical():
 
 
 def test_poisson_rejects_bad_theta():
-    for theta in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
+    for theta in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="theta must be finite and >= 0"):
             sample_poisson_tree(CRIT, theta, RandomSource(1), 2)
+
+
+def test_poisson_at_theta_zero_follows_its_law():
+    # no survivor slot opens at theta = 0: the skeleton is the Kesten spine
+    draws = 8000
+    r = RandomSource(246)
+    counts = Counter(
+        sample_poisson_tree(CRIT, 0.0, r, 2).tree.encode() for _ in range(draws)
+    )
+    res = g_test_against_law(counts, poisson_family(CRIT, 2, 0.0, 5))
+    assert res.p_value > 1e-3
 
 
 # -- condensation sampler ----------------------------------------------------

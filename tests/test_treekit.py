@@ -230,6 +230,15 @@ def test_pool_is_built_only_under_a_root_with_children():
     assert shape_pool(5, 0) == ([0], [])
 
 
+@pytest.mark.parametrize("root", [-1, -5])
+def test_a_negative_root_degree_is_refused(root):
+    for call in (lambda: count_trees(2, 3, root_degree=root),
+                 lambda: list(enumerate_trees(2, 3, root_degree=root)),
+                 lambda: shape_pool(2, 3, root_degree=root)):
+        with pytest.raises(ValidationError, match=r"^root_degree must be >= 0"):
+            call()
+
+
 @pytest.mark.parametrize(
     "height,cap,root", [(2, 3, None), (3, 2, None), (1, 12, None), (1, 40, None),
                         (2, 10, 2), (2, 12, 1)],
