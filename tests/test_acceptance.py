@@ -245,7 +245,9 @@ def test_criterion_5_sampler_g_tests():
         draw = row.sampler(CRIT, 2, o)
         r = RandomSource(seed)
         trees = (draw(r) for _ in range(draws))
-        counts = Counter((t.tree if isinstance(t, TypedTree) else t).encode() for t in trees)
+        counts = Counter(
+            (t.tree if isinstance(t, TypedTree) else t).encode() for t in trees
+        )
         family, args = row.law(CRIT, 2, cap, o)
         pvals[regime] = g_test_against_law(counts, family(*args)).p_value
     assert min(pvals.values()) > 1e-3, pvals

@@ -391,8 +391,10 @@ def test_sample_checks_options_before_writing(
 
 
 # a value each regime option accepts, and the rest of each command's argv
-OPTION_VALUES = {"n": "3", "a": "2", "theta": "0.7", "k0": "2", "variant": "inhomogeneous"}
-COMMAND_ARGS = {"law": ("--height", "2", "--degree-cap", "3"), "sample": ("--height", "2")}
+OPTION_VALUES = {"n": "3", "a": "2", "theta": "0.7", "k0": "2",
+                 "variant": "inhomogeneous"}
+COMMAND_ARGS = {"law": ("--height", "2", "--degree-cap", "3"),
+                "sample": ("--height", "2")}
 
 
 def regime_argv(command, regime, *options):
@@ -423,7 +425,9 @@ def test_regime_option_contract(tmp_path, capsys, command, regime, option):
     needs = [name for name in row.needs if name != option]
     given = needs if option in row.needs else [*needs, option]
     dest = tmp_path / "out.csv"
-    code, out, err = run(capsys, *regime_argv(command, regime, *given), "--out", str(dest))
+    code, out, err = run(
+        capsys, *regime_argv(command, regime, *given), "--out", str(dest)
+    )
     if option in row.takes.get(command, ()):
         assert code == 0, err
         return
