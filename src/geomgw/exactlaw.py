@@ -240,8 +240,8 @@ def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> floa
 
     Multiplying the plain ball law by this weight gives the radius-h law
     of the theta-member of the limit family. At theta = 0 it equals the
-    eternal-tree weight exactly; as theta grows the mass drifts toward
-    wide balls. Valid for every finite theta >= 0; width 0 carries no mass.
+    eternal-tree weight up to rounding; as theta grows the mass drifts
+    toward wide balls. Valid for every finite theta >= 0; width 0 carries no mass.
     Only the death probability and the dual mean enter, as plain numbers,
     so eta = 1 works here even though the dual law itself degenerates.
     """
@@ -659,7 +659,8 @@ def _skeleton(p: OffspringParams, h: int, degree_cap: int, k0: int | None) -> _S
     same order as a preorder walk over the ball. At h = 0 the lone root
     is the bottom: no node above it, one node at it."""
     degrees = range(degree_cap + 1) if k0 is None else range(1, min(k0, degree_cap) + 1)
-    roots, pool = _shape_pool(h, degree_cap, sorted(degrees, key=str))
+    roots = sorted(degrees, key=str)
+    pool = _shape_pool(h, degree_cap, roots)
     pmf = [p.log_pmf(d) for d in range(degree_cap + 1)]
     above = [[pmf[d] for d, dep in zip(degs, depths) if dep < h]
              for degs, depths in pool]

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import GeomGWError, ValidationError
 from .exactlaw import (
     TruncatedLaw,
+    _check_theta,
     condensation_family,
     conditioned_family,
     conditioned_restricted_family,
@@ -150,9 +151,11 @@ class ExperimentConfig:
             raise ValidationError(f"degree_cap must be >= 1, got {self.degree_cap}")
         if self.k0 < 1:
             raise ValidationError(f"k0 must be >= 1, got {self.k0}")
-        for name, value in thetas:
+        _check_theta(self.theta)
+        for value in self.theta_grid:
             if not 0.0 < value < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValidationError(f"theta_grid entry must be finite and > 0 (the "
+                                      f"theta chart plots log10 theta), got {value!r}")
         if self.a_rule not in ("default", "const"):
             raise ValidationError(f"a_rule must be default or const, got {self.a_rule!r}")
         if self.a_rule == "const" and self.a_const < 1:

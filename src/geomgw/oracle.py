@@ -226,10 +226,6 @@ def conditioned_weight_vector(
 # the equivalence suite
 
 
-def _close(x: float, y: float, rtol: float, atol: float = 0.0) -> bool:
-    return abs(x - y) <= atol + rtol * max(abs(x), abs(y))
-
-
 def equivalence_suite() -> list[tuple[str, bool, str]]:
     """Run every brute-vs-closed-form comparison at desk scale.
 

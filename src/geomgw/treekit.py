@@ -220,41 +220,6 @@ class OrderedTree:
 MAX_TREES = 5_000_000  # default cap on the trees one enumeration may walk
 
 
-def _fold(items, d: int, acc, step) -> Iterator[list]:
-    """`acc` folded by `step` over the slots of every d-fold product of
-    `items`, left to right, in itertools.product order: the one product
-    loop every enumeration goes through. The (d-1)-slot prefixes are folded
-    slot by slot, each once, so rows that share a prefix share its fold
-    and each row pays only for its last slot. Yields one list per prefix;
-    at most len(items)^(d-1) prefix folds, the rows over the pool size,
-    are held at once."""
-    if d == 0:
-        yield [acc]
-        return
-    folds = [acc]
-    for _ in range(d - 1):
-        folds = [step(f, x) for f in folds for x in items]
-    for f in folds:
-        yield [step(f, y) for y in items]
-
-
-def shape_pool(
-    height: int,
-    degree_cap: int,
-    *,
-    root_degree: int | None = None,
-    max_trees: int = MAX_TREES,
-) -> tuple[Sequence[int], list]:
-    """The two factors of every enumeration: the root degrees, in string
-    order, and the height-(h-1) pool as root subtrees, (degrees, depths)
-    entries with depths counted from the root above them. The trees
-    enumerate_trees yields are, root degree by root degree, each root of
-    degree d over the d-fold product of the pool, in itertools.product
-    order. Raises ResourceError before building any pool if the count
-    exceeds max_trees."""
-    return _shape_pool(height, degree_cap, _roots(degree_cap, root_degree), max_trees)
-
-
 def _roots(degree_cap: int, root_degree: int | None) -> Sequence[int]:
     """The root degrees of an enumeration in string order: every degree
     up to the cap, or the pinned one if it is within the cap."""
@@ -266,40 +231,43 @@ def _roots(degree_cap: int, root_degree: int | None) -> Sequence[int]:
 
 
 def _shape_pool(height: int, degree_cap: int, roots: Sequence[int],
-                max_trees: int = MAX_TREES) -> tuple[Sequence[int], list]:
-    """shape_pool over the given root degrees, which must be in string
-    order. The count cap bounds the trees over all of them together.
+                max_trees: int = MAX_TREES) -> list:
+    """The height-(h-1) pool that the trees over the given root degrees
+    take their root subtrees from: (degrees, depths) entries, depths
+    counted from the root above them. The root degrees must be in string
+    order; the count cap bounds the trees over all of them together, and
+    raises ResourceError before any pool is built.
 
-    The pool is built bottom-up from the lone root, each level the
-    product over the one below with root degrees in string order. Codes
-    are prefix free and "," sorts below every digit, so the pool, and the
-    trees over it, come out in code (string) order. Only a root with
-    children draws on the pool, so without one it is empty."""
+    The pool is built bottom-up from the lone root, each level the trees
+    over the one below with every root degree in string order, moved one
+    level down. Codes are prefix free and "," sorts below every digit, so
+    the pool, and the trees over it, come out in code (string) order.
+    Only a root with children draws on the pool, so without one it is
+    empty."""
     if _count(height, degree_cap, roots, max_trees) > max_trees:
         raise ResourceError(
             f"enumeration would produce more than the cap of {max_trees} trees"
         )
     if height == 0 or not any(roots):
-        return roots, []
+        return []
     every = _roots(degree_cap, None)
-    subs = [_hang(*_plant(0))]  # every tree of height <= 0
+    subs = [((0,), (1,))]  # every tree of height <= 0, one level down
     for _ in range(height - 1):
-        subs = [_hang(*tree) for d in every
-                for block in _fold(subs, d, _plant(d), _graft) for tree in block]
-    return roots, subs
+        subs = [(degrees, tuple(dep + 1 for dep in depths))
+                for degrees, depths in _trees(every, subs)]
+    return subs
 
 
-def _hang(degrees: tuple[int, ...], depths: tuple[int, ...]):
-    """A pool entry as a root subtree: its depths one level down."""
-    return degrees, tuple(dep + 1 for dep in depths)
-
-
-def _plant(d: int):
-    return (d,), (0,)
-
-
-def _graft(tree, sub):
-    return tree[0] + sub[0], tree[1] + sub[1]
+def _trees(roots: Sequence[int], subs: list) -> Iterator[tuple]:
+    """(degrees, depths) of each root of degree d, in the order given,
+    over every d-fold product of the pool `subs`, in itertools.product
+    order: the one product every enumeration goes through."""
+    degrees = [degs for degs, _ in subs]
+    depths = [deps for _, deps in subs]
+    for d in roots:
+        for below, deeper in zip(itertools.product(degrees, repeat=d),
+                                 itertools.product(depths, repeat=d)):
+            yield sum(below, (d,)), sum(deeper, (0,))
 
 
 def count_trees(
@@ -348,10 +316,7 @@ def enumerate_trees(
     <= degree_cap, optionally with the root degree pinned, in code order.
     Raises ResourceError up front if the count, which is exact, exceeds
     max_trees."""
-    roots, subs = shape_pool(
-        height, degree_cap, root_degree=root_degree, max_trees=max_trees
-    )
-    for d in roots:
-        for block in _fold(subs, d, _plant(d), _graft):
-            for degrees, depths in block:
-                yield OrderedTree._trusted(degrees, depths)
+    roots = _roots(degree_cap, root_degree)
+    subs = _shape_pool(height, degree_cap, roots, max_trees)
+    for degrees, depths in _trees(roots, subs):
+        yield OrderedTree._trusted(degrees, depths)

@@ -287,6 +287,21 @@ def test_law_argument_contract(capsys, regime, extra, fragment):
     assert fragment in err
 
 
+def test_uncertified_series_exits_2(tmp_path, capsys):
+    # at theta 1e6 the sibling series' first i-cut, 2,014,175 terms, is past
+    # its 200,000 limit: a numeric failure, not bad input, and no output
+    dest = tmp_path / "law.csv"
+    code, out, err = run(
+        capsys, "law", "--regime", "poisson", "--theta", "1e6", "--k0", "2",
+        "--eta", "0.5", "--q", "0.5", "--height", "2", "--degree-cap", "6",
+        "--out", str(dest),
+    )
+    assert code == 2
+    assert err.startswith("numeric failure: sibling series not certified")
+    assert out == ""
+    assert not dest.exists()
+
+
 def test_law_rejects_bad_offspring_parameters(capsys):
     argv = list(KESTEN_LAW_ARGS)
     argv[argv.index("--eta") + 1] = "1.5"

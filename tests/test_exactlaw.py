@@ -562,6 +562,30 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
             assert abs(got[k] - float(mpmath.log(u))) <= 1e-11, (n, k)
 
 
+@pytest.mark.parametrize("theta,passes", [(0.5, 3), (5.0, 2)])
+def test_sibling_series_retries_with_a_doubled_cut(monkeypatch, theta, passes):
+    # at k = 500 the first i-cut leaves the i-tail bound above SERIES_RTOL,
+    # so the series doubles its cut; one log_poisson_tail call per pass.
+    # The reference sums W(k + k') P(Z_2 = k') directly over k' < 400, past
+    # which P(Z_2 = k') is below 1e-70
+    tails = []
+    tail = exactlaw.log_poisson_tail
+
+    def counting(*args):
+        tails.append(args)
+        return tail(*args)
+
+    monkeypatch.setattr(exactlaw, "log_poisson_tail", counting)
+    got = exactlaw._sibling_sum_poisson(CRIT, 2, theta, [1, 500])
+    assert len(tails) == passes
+    for k in (1, 500):
+        ref = log_sum([
+            log_poisson_weight(CRIT, 2, k + j, theta) + log_generation_pmf(CRIT, 2, j)
+            for j in range(1, 400)
+        ])
+        assert abs(math.expm1(got[k] - ref)) <= 1e-8, k
+
+
 @pytest.mark.parametrize(
     "h,a,k0,cap", [(1, 1, 1, 4), (1, 3, 2, 4), (2, 3, 2, 4), (2, 5, 1, 4), (2, 6, 2, 3)]
 )

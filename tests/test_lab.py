@@ -93,7 +93,6 @@ def test_config_rejects_non_object():
         {"h": 5},  # exceeds min(n_grid) = 4
         {"degree_cap": 0},
         {"k0": 0},
-        {"theta": 0.0},
         {"theta": math.inf},
         {"theta": math.nan},
         {"theta_grid": (0.5, 0.0)},
@@ -328,6 +327,19 @@ def test_run_regime_kesten_smoke():
     assert rows[-1].tv_exact < rows[0].tv_exact
     assert all(r.tv_residual_bound >= 0.0 for r in rows)
     assert all(isinstance(r.certified, bool) for r in rows)
+
+
+def test_poisson_sweep_at_theta_zero_is_the_kesten_sweep():
+    # theta 0 is a valid config: its default rule gives a_n = 1 on every
+    # row, and the theta = 0 member is the Kesten law up to rounding
+    poi = run_regime(small_cfg(regime="poisson", h=2, theta=0.0, a_rule="default"),
+                     workers=1)
+    kes = run_regime(small_cfg(h=2), workers=1)
+    assert [r.a_n for r in poi] == [1, 1, 1]
+    for p, k in zip(poi, kes, strict=True):
+        assert p.n == k.n
+        assert abs(p.tv_exact - k.tv_exact) <= 1e-15
+        assert abs(p.tv_residual_bound - k.tv_residual_bound) <= 1e-15
 
 
 def test_run_regime_condensation_smoke():

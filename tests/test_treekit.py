@@ -12,7 +12,7 @@ from geomgw import (
     count_trees,
     enumerate_trees,
 )
-from geomgw.treekit import _shape_pool, shape_pool
+from geomgw.treekit import _shape_pool
 
 CHAIN = OrderedTree((1, 1, 0))          # root - child - grandchild
 CHERRY = OrderedTree((2, 0, 0))         # root with two leaf children
@@ -168,8 +168,8 @@ def test_count_cap_bounds_every_root_degree_together():
     # root degrees 1, 2, 3 over the 4 shapes of height <= 1 at cap 3:
     # 4 + 16 + 64 = 84 balls, each root degree within a cap of 83 alone
     assert max(count_trees(2, 3, root_degree=d) for d in (1, 2, 3)) <= 83
-    roots, pool = _shape_pool(2, 3, [1, 2, 3], max_trees=84)
-    assert sum(len(pool) ** d for d in roots) == 84
+    pool = _shape_pool(2, 3, [1, 2, 3], max_trees=84)
+    assert sum(len(pool) ** d for d in (1, 2, 3)) == 84
     with pytest.raises(ResourceError, match="more than the cap of 83 trees"):
         _shape_pool(2, 3, [1, 2, 3], max_trees=83)
 
@@ -224,17 +224,16 @@ def test_enumeration_is_the_product_over_the_pool_in_order(height, cap):
 def test_pool_is_built_only_under_a_root_with_children():
     # at cap 40 the height-3 pool would hold more than 41^40 shapes, but a
     # root of degree 0, or one pinned past the cap, takes no product over it
-    assert shape_pool(4, 40, root_degree=0) == ((0,), [])
-    assert shape_pool(4, 40, root_degree=41) == ((), [])
+    assert _shape_pool(4, 40, (0,)) == []
+    assert _shape_pool(4, 40, ()) == []
     assert [t.degrees for t in enumerate_trees(4, 40, root_degree=0)] == [(0,)]
-    assert shape_pool(5, 0) == ([0], [])
+    assert _shape_pool(5, 0, [0]) == []
 
 
 @pytest.mark.parametrize("root", [-1, -5])
 def test_a_negative_root_degree_is_refused(root):
     for call in (lambda: count_trees(2, 3, root_degree=root),
-                 lambda: list(enumerate_trees(2, 3, root_degree=root)),
-                 lambda: shape_pool(2, 3, root_degree=root)):
+                 lambda: list(enumerate_trees(2, 3, root_degree=root))):
         with pytest.raises(ValidationError, match=r"^root_degree must be >= 0"):
             call()
 
