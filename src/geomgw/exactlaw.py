@@ -241,9 +241,9 @@ def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> floa
     Multiplying the plain ball law by this weight gives the radius-h law
     of the theta-member of the limit family. At theta = 0 it equals the
     eternal-tree weight up to rounding; as theta grows the mass drifts
-    toward wide balls. Valid for every finite theta >= 0; width 0 carries no mass.
-    Only the death probability and the dual mean enter, as plain numbers,
-    so eta = 1 works here even though the dual law itself degenerates.
+    toward wide balls. Valid for every finite theta >= 0; width 0 carries
+    no mass. Only the death probability and the dual mean enter, as plain
+    numbers, so eta = 1 works here even though the dual law itself degenerates.
     """
     if h < 0:
         raise ValidationError(f"radius must be >= 0, got {h}")

@@ -235,7 +235,7 @@ def _shape_pool(height: int, degree_cap: int, roots: Sequence[int],
     """The height-(h-1) pool that the trees over the given root degrees
     take their root subtrees from: (degrees, depths) entries, depths
     counted from the root above them. The root degrees must be in string
-    order; the count cap bounds the trees over all of them together, and
+    order. A count of trees over all of them together above max_trees
     raises ResourceError before any pool is built.
 
     The pool is built bottom-up from the lone root, each level the trees
