@@ -33,7 +33,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, product, zip_longest
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -536,32 +535,53 @@ class TruncatedLaw:
     The table is stored as two columns in code (string) order: codes, a
     tuple of text tree codes, and log_probs, a read-only float64 array of
     their log probabilities. A table built here from one shape table keeps
-    that table's code tuple whenever no shape drops out; one built from an
-    entries dict sorts its codes. entries is the code -> log probability
-    dict in code order and probs the column of probabilities
-    (math.exp of each entry); both are derived from the columns on first
-    use and then kept. log_residual bounds (in log space) the mass the
-    table does not see, i.e. 1 minus the tabulated total. meta records how
-    the table was built, and rides along in the CSV header comment.
+    a reference to that table, its row slice and its keep mask (None when
+    no row drops out), and builds its codes on first read: the table's own
+    tuple when no row drops out. One built from an entries dict sorts its
+    codes. entries is the code -> log probability dict in code order and
+    probs the column of probabilities (math.exp of each entry); both are
+    derived from the columns on first use and then kept. log_residual
+    bounds (in log space) the mass the table does not see, i.e. 1 minus
+    the tabulated total. meta records how the table was built, and rides
+    along in the CSV header comment.
     """
 
     def __init__(
         self, entries: dict[str, float], log_residual: float, meta: dict | None = None
     ) -> None:
-        codes = tuple(sorted(entries))
-        log_probs = np.fromiter(map(entries.get, codes), np.float64, len(codes))
-        self._set(codes, log_probs, log_residual, meta)
+        self.codes = tuple(sorted(entries))
+        log_probs = np.fromiter(map(entries.get, self.codes), np.float64, len(self.codes))
+        self._set(None, log_probs, log_residual, meta)
 
     @classmethod
-    def _from_columns(cls, codes, log_probs, log_residual, meta) -> "TruncatedLaw":
+    def _tabulated(cls, source: tuple, log_probs: np.ndarray) -> "TruncatedLaw":
+        """The law over the rows source = (shape table, row slice, keep
+        mask) picks, with no meta and no residual yet."""
         law = cls.__new__(cls)
-        law._set(codes, log_probs, log_residual, meta)
+        law._set(source, log_probs, LOG_ZERO, None)
         return law
 
-    def _set(self, codes, log_probs, log_residual, meta) -> None:
+    def _set(self, source, log_probs, log_residual, meta) -> None:
         log_probs.flags.writeable = False
-        self.codes, self.log_probs, self.log_residual = codes, log_probs, log_residual
+        self._source, self.log_probs, self.log_residual = source, log_probs, log_residual
         self.meta = {} if meta is None else meta
+
+    @cached_property
+    def codes(self) -> tuple[str, ...]:
+        table, rows, keep = self._source
+        codes = table.codes[rows]
+        return codes if keep is None else tuple(compress(codes, keep.tolist()))
+
+    def _same_rows(self, other: "TruncatedLaw") -> bool:
+        """Whether both laws were tabulated over the same rows of one shape
+        table (the same table, row slice and keep mask), so their columns
+        align row for row; a law built from entries has no table."""
+        if self._source is None or other._source is None:
+            return False
+        (t1, r1, k1), (t2, r2, k2) = self._source, other._source
+        if t1 is not t2 or r1 != r2:
+            return False
+        return k1 is k2 or (k1 is not None and k2 is not None and np.array_equal(k1, k2))
 
     @cached_property
     def entries(self) -> dict[str, float]:
@@ -573,7 +593,7 @@ class TruncatedLaw:
         # from it in the last bit on some inputs
         out = np.fromiter(
             map(math.exp, self.log_probs.tolist()), dtype=np.float64,
-            count=len(self.codes),
+            count=len(self.log_probs),
         )
         out.flags.writeable = False
         return out
@@ -625,30 +645,41 @@ def law_normalize_check(law: TruncatedLaw) -> float:
     return log_total
 
 
-class _Skeleton(NamedTuple):
-    """A shape table as columns, rows in code order: each ball's code, its
-    log ball mass (a read-only float64 array) and its bottom width (an int
-    array), plus the distinct widths in ascending order and the rows of
-    each root degree, one slice each."""
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """A shape table as columns, rows in code order: each ball's log ball
+    mass (a read-only float64 array) and its bottom width (an int array),
+    plus the distinct widths in ascending order and the rows of each root
+    degree, one slice each, root degrees in code order. Each row's code is
+    built from the codes of the height-(h-1) pool on first read, once per
+    table, so every law of one table shares one tuple."""
 
-    codes: tuple[str, ...]
+    pool_codes: tuple[str, ...]
     lgw: np.ndarray
     width: np.ndarray
     widths: tuple[int, ...]
     rows: dict[int, slice]
 
+    @cached_property
+    def codes(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(
+            map(",".join, product((str(d),), *[self.pool_codes] * d)) for d in self.rows
+        ))
+
 
 # A single entry can hold millions of rows, and a rebuild is cheap next to
-# the laws built from it. One table serves every family at (p, h, cap) and
-# one every law at an (h, k0) view; the bundled sweeps and the benchmark
-# workloads use at most three distinct tables.
+# the laws built from it. Without its codes an entry takes 16 bytes a row;
+# the code strings, built only when a law's codes are read, take about
+# 100 more (14 MB at (h, cap) = (2, 6)). One table serves every family at
+# (p, h, cap) and one every law at an (h, k0) view; the bundled sweeps and
+# the benchmark workloads use at most three distinct tables.
 @lru_cache(maxsize=8)
 def _skeleton(p: OffspringParams, h: int, degree_cap: int, k0: int | None) -> _Skeleton:
-    """(code, log ball mass, bottom width) for each ball shape of height
-    <= h, in code order, as columns: with k0 None every such ball, else
-    the balls of the (h, k0) view, root degrees 1 .. min(k0, degree_cap).
-    The expensive part of every family build, so cached; the width
-    weights drop the shapes that do not reach depth h.
+    """(log ball mass, bottom width) for each ball shape of height <= h,
+    in code order, as columns, with the codes built on demand: with k0
+    None every such ball, else the balls of the (h, k0) view, root degrees
+    1 .. min(k0, degree_cap). The expensive part of every family build, so
+    cached; the width weights drop the shapes that do not reach depth h.
 
     A ball is its root over a product of entries of the height-(h-1) pool.
     The columns are built one pass per root slot, all root degrees with a
@@ -682,16 +713,13 @@ def _skeleton(p: OffspringParams, h: int, degree_cap: int, k0: int | None) -> _S
             lgw += col
         lgw = lgw.reshape(len(open_degrees), -1)
         width = (width[:, :, None] + sub_width).reshape(len(open_degrees), -1)
-    sub_codes = [",".join(map(str, degs)) for degs, _ in pool]
-    codes = tuple(chain.from_iterable(
-        map(",".join, product((str(d),), *[sub_codes] * d)) for d in roots
-    ))
+    pool_codes = tuple(",".join(map(str, degs)) for degs, _ in pool)
     lgw = np.concatenate([done[d][0] for d in roots] or [np.empty(0)])
     lgw.flags.writeable = False
     width = np.concatenate([done[d][1] for d in roots] or [np.empty(0, np.intp)])
     sizes = [len(done[d][0]) for d in roots]
     rows = dict(zip(roots, map(slice, accumulate([0] + sizes), accumulate(sizes))))
-    return _Skeleton(codes, lgw, width, tuple(np.unique(width).tolist()), rows)
+    return _Skeleton(pool_codes, lgw, width, tuple(np.unique(width).tolist()), rows)
 
 
 def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
@@ -704,25 +732,26 @@ def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
 
 def _tabulate(
     skel: _Skeleton, log_weight: np.ndarray, rows: slice = slice(None)
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The codes and log-probs lgw + log_weight over a shape table's rows
-    (all, or one root degree's slice), leaving out shapes of zero mass.
-    Each log-prob is one float add, as in a row-by-row loop. With no shape
-    left out the codes of a whole table are its own tuple."""
-    codes, log_probs = skel.codes[rows], skel.lgw[rows] + log_weight
+) -> TruncatedLaw:
+    """The law lgw + log_weight over a shape table's rows (all, or one
+    root degree's slice), leaving out shapes of zero mass. Each log-prob
+    is one float add, as in a row-by-row loop. The slice is stored in its
+    resolved form, so one root degree's rows and the whole table compare
+    equal when they are the same rows."""
+    rows = slice(*rows.indices(len(skel.lgw)))
+    log_probs = skel.lgw[rows] + log_weight
     keep = log_probs != LOG_ZERO
     if keep.all():
-        return codes, log_probs
-    return tuple(compress(codes, keep.tolist())), log_probs[keep]
+        return TruncatedLaw._tabulated((skel, rows, None), log_probs)
+    return TruncatedLaw._tabulated((skel, rows, keep), log_probs[keep])
 
 
 def _finalize(
     p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict,
-    codes: tuple[str, ...], log_probs: np.ndarray,
+    law: TruncatedLaw,
 ) -> TruncatedLaw:
-    meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
-            "degree_cap": str(degree_cap), **params}
-    law = TruncatedLaw._from_columns(codes, log_probs, LOG_ZERO, meta)
+    law.meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
+                "degree_cap": str(degree_cap), **params}
     law.log_residual = log_sub(0.0, law_normalize_check(law))
     return law
 
@@ -774,7 +803,7 @@ def _family(p: OffspringParams, h: int, degree_cap: int, law: _Law) -> Truncated
     skel = _skeleton(p, h, degree_cap, None)
     log_weight = _weights(law.weight, skel.widths)[skel.width]
     return _finalize(p, h, degree_cap, law.kind, law.params,
-                     *_tabulate(skel, log_weight))
+                     _tabulate(skel, log_weight))
 
 
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
@@ -810,12 +839,12 @@ def condensation_family(
     every ball with root degree exactly k0 and height <= h, dying
     truncations included: the root-degree-k0 rows of the view's table."""
     _check_view(h, k0)
-    table = ((), np.empty(0))  # past the cap: no support, and no table built
+    law = TruncatedLaw({}, LOG_ZERO)  # past the cap: no support, and no table built
     if k0 <= degree_cap:
         skel = _skeleton(p, h, degree_cap, k0)
         weight = _weights(lambda k: _log_condensation_weight(p, h, k), skel.widths)
-        table = _tabulate(skel, weight[skel.width[skel.rows[k0]]], skel.rows[k0])
-    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)}, *table)
+        law = _tabulate(skel, weight[skel.width[skel.rows[k0]]], skel.rows[k0])
+    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)}, law)
 
 
 def _restricted_family(
@@ -852,7 +881,7 @@ def _restricted_family(
         log_weight[skel.rows[k0]] = fat[top]
     params = {"k0": str(k0), **law.params}
     return _finalize(p, h, degree_cap, law.kind + "-restricted", params,
-                     *_tabulate(skel, log_weight))
+                     _tabulate(skel, log_weight))
 
 
 def kesten_restricted_family(

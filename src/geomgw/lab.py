@@ -252,17 +252,17 @@ def per_tree_gap(l1: TruncatedLaw, l2: TruncatedLaw) -> float:
 
 def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray]:
     """The two laws' probabilities over the union of their codes, in sorted
-    code order; laws of different balls (h or k0) are refused. Every law
-    is in code order, so two tables that list the same codes (most often
-    one shared tuple) give their cached probability columns. Otherwise the
-    codes are merged: the sort only merges l1's codes with the few runs of
-    l2's codes that l1 lacks."""
+    code order; laws of different balls (h or k0) are refused. Two laws
+    tabulated over the same rows of one shape table (the same table, row
+    slice and keep mask) give their cached probability columns, and no
+    code is read. Otherwise the codes are merged: the sort only merges
+    l1's codes with the few runs of l2's codes that l1 lacks."""
     for key in ("h", "k0"):
         if l1.meta.get(key) != l2.meta.get(key):
             raise ValidationError(
                 f"laws disagree on {key}: {l1.meta.get(key)} vs {l2.meta.get(key)}"
             )
-    if l1.codes is l2.codes or l1.codes == l2.codes:
+    if l1._same_rows(l2):
         return l1.probs, l2.probs
     e1, e2 = l1.entries, l2.entries
     codes = list(e1)

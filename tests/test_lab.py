@@ -31,7 +31,7 @@ from geomgw import (
     write_svg_chart,
     write_theta_csv,
 )
-from geomgw import lab
+from geomgw import exactlaw, lab
 from geomgw.lab import REGIME_CSV_COLUMNS, THETA_CSV_COLUMNS
 
 CRIT = OffspringParams(0.5, 0.5)
@@ -263,7 +263,7 @@ def _table_pairs():
     view = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
     yield view, condensation_family(CRIT, 1, 10, 10)
     # tables built from one shuffled entries order: each sorts its codes,
-    # so the in-place read sums in code order
+    # so the merge sums in code order
     laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
     order = list(laws[0].entries)
     random.Random(7).shuffle(order)
@@ -279,6 +279,57 @@ def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
             tv, gap = _reference_tv_and_gap(a, b)
             assert tv_distance(a, b)[0].hex() == tv.hex()
             assert per_tree_gap(a, b).hex() == gap.hex()
+
+
+def _same_table_pairs():
+    # the conditioned law against the Kesten family at the bundled Kesten
+    # sweep's (h, cap) = (2, 6), and the skinny family against the Kesten
+    # family at the bundled theta sweep's (1, 40): each pair reads the
+    # same rows of one shape table, as both weights drop its width-0 rows
+    cfg = _bundled("kesten")
+    kesten = kesten_family(CRIT, 2, 6)
+    for n in (cfg.n_grid[0], cfg.n_grid[-1]):
+        yield conditioned_family(CRIT, n, target_generation_size(cfg, n), 2, 6), kesten
+    kesten = kesten_family(CRIT, 1, 40)
+    for theta in (lab.DEFAULT_THETA_GRID[0], lab.DEFAULT_THETA_GRID[-1]):
+        yield poisson_family(CRIT, 1, theta, 40), kesten
+
+
+def _distances(l1, l2):
+    return tv_distance(l1, l2)[0].hex(), per_tree_gap(l1, l2).hex()
+
+
+def _assert_matches_the_merge(l1, l2):
+    # copies built from entries have no shape table, so they take the merge
+    c1, c2 = (TruncatedLaw(law.entries, law.log_residual, law.meta) for law in (l1, l2))
+    assert _distances(l1, l2) == _distances(c1, c2)
+    assert _distances(l2, l1) == _distances(c2, c1)
+
+
+def test_same_table_columns_match_the_merge_bit_for_bit():
+    for l1, l2 in _same_table_pairs():
+        assert l1._same_rows(l2)
+        _assert_matches_the_merge(l1, l2)
+    # one table, different keep masks: the plain law keeps the width-0 rows
+    # that the Kesten weight drops, so the codes are merged
+    gw, kesten = gw_family(CRIT, 2, 6), kesten_family(CRIT, 2, 6)
+    assert gw._source[0] is kesten._source[0]
+    assert not gw._same_rows(kesten)
+    _assert_matches_the_merge(gw, kesten)
+
+
+def test_bundled_sweeps_build_no_code_string():
+    # every pair these sweeps compare reads the same rows of one table, so
+    # the tables' code strings are never built
+    exactlaw._skeleton.cache_clear()
+    lab._limit_law.cache_clear()
+    run_regime(_bundled("kesten"), workers=1)
+    assert "codes" not in vars(exactlaw._skeleton(CRIT, 2, 6, None))
+    # the k0 = 1 view's rows are all of root degree 1, so the skinny view
+    # and the fat limit read the same rows too
+    run_theta_continuity(_bundled("poisson"), workers=1)
+    assert "codes" not in vars(exactlaw._skeleton(CRIT, 1, 40, None))
+    assert "codes" not in vars(exactlaw._skeleton(CRIT, 1, 40, 1))
 
 
 # -- sweeps ------------------------------------------------------------------
