@@ -27,12 +27,12 @@ returning a best effort) when the requested accuracy is not reached.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, product, zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import gammaln
@@ -534,29 +534,31 @@ class TruncatedLaw:
 
     The table is stored as two columns in code (string) order: codes, a
     tuple of text tree codes, and log_probs, a read-only float64 array of
-    their log probabilities. A table built here from one shape table keeps
-    a reference to that table, its row slice and its keep mask (None when
-    no row drops out), and builds its codes on first read: the table's own
-    tuple when no row drops out. One built from an entries dict sorts its
-    codes. entries is the code -> log probability dict in code order and
-    probs the column of probabilities (math.exp of each entry); both are
-    derived from the columns on first use and then kept. log_residual
-    bounds (in log space) the mass the table does not see, i.e. 1 minus
-    the tabulated total. meta records how the table was built, and rides
-    along in the CSV header comment.
+    their log probabilities. Every law keeps its support, an object whose
+    codes tuple lists every row it may hold in code order, and a boolean
+    mask over those rows: a law tabulated here keeps its shape table and
+    the rows of nonzero mass, and one built from an entries dict keeps its
+    sorted codes and every row. codes is built on first read: the support's
+    own tuple when the mask keeps every row. entries is the code -> log
+    probability dict in code order and probs the column of probabilities
+    (math.exp of each entry); both are derived from the columns on first
+    use and then kept. log_residual bounds (in log space) the mass the
+    table does not see, i.e. 1 minus the tabulated total. meta records how
+    the table was built, and rides along in the CSV header comment.
     """
 
     def __init__(
         self, entries: dict[str, float], log_residual: float, meta: dict | None = None
     ) -> None:
-        self.codes = tuple(sorted(entries))
-        log_probs = np.fromiter(map(entries.get, self.codes), np.float64, len(self.codes))
-        self._set(None, log_probs, log_residual, meta)
+        codes = tuple(sorted(entries))
+        log_probs = np.fromiter(map(entries.get, codes), np.float64, len(codes))
+        self._set((SimpleNamespace(codes=codes), np.ones(len(codes), bool)),
+                  log_probs, log_residual, meta)
 
     @classmethod
     def _tabulated(cls, source: tuple, log_probs: np.ndarray) -> "TruncatedLaw":
-        """The law over the rows source = (shape table, row slice, keep
-        mask) picks, with no meta and no residual yet."""
+        """The law over the rows source = (shape table, row mask) keeps,
+        with no meta and no residual yet."""
         law = cls.__new__(cls)
         law._set(source, log_probs, LOG_ZERO, None)
         return law
@@ -568,20 +570,15 @@ class TruncatedLaw:
 
     @cached_property
     def codes(self) -> tuple[str, ...]:
-        table, rows, keep = self._source
-        codes = table.codes[rows]
-        return codes if keep is None else tuple(compress(codes, keep.tolist()))
+        support, keep = self._source
+        return support.codes if keep.all() else tuple(compress(support.codes, keep.tolist()))
 
     def _same_rows(self, other: "TruncatedLaw") -> bool:
-        """Whether both laws were tabulated over the same rows of one shape
-        table (the same table, row slice and keep mask), so their columns
-        align row for row; a law built from entries has no table."""
-        if self._source is None or other._source is None:
-            return False
-        (t1, r1, k1), (t2, r2, k2) = self._source, other._source
-        if t1 is not t2 or r1 != r2:
-            return False
-        return k1 is k2 or (k1 is not None and k2 is not None and np.array_equal(k1, k2))
+        """Whether both laws keep the same rows of one support, so their
+        columns align row for row; laws built from entries dicts never
+        share a support."""
+        (s1, k1), (s2, k2) = self._source, other._source
+        return s1 is s2 and np.array_equal(k1, k2)
 
     @cached_property
     def entries(self) -> dict[str, float]:
@@ -611,26 +608,6 @@ class TruncatedLaw:
         out.write("tree_code,log_prob\n")
         for code, lp in zip(self.codes, self.log_probs.tolist()):
             out.write(f'"{code}",{lp!r}\n')
-
-    @classmethod
-    def read_csv(cls, fh) -> "TruncatedLaw":
-        head = fh.readline()
-        if not head.startswith("# "):
-            raise ValidationError("law csv: missing metadata line")
-        meta = {}
-        for piece in head[2:].split():
-            key, _, val = piece.partition("=")
-            meta[key] = val
-        log_residual = float(meta.pop("log_residual", "-inf"))
-        header = fh.readline().strip()
-        if header != "tree_code,log_prob":
-            raise ValidationError(f"law csv: unexpected header {header!r}")
-        entries = {}
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            entries[row[0]] = float(row[1])
-        return cls(entries=entries, log_residual=log_residual, meta=meta)
 
 
 def law_normalize_check(law: TruncatedLaw) -> float:
@@ -730,20 +707,13 @@ def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
     return table
 
 
-def _tabulate(
-    skel: _Skeleton, log_weight: np.ndarray, rows: slice = slice(None)
-) -> TruncatedLaw:
-    """The law lgw + log_weight over a shape table's rows (all, or one
-    root degree's slice), leaving out shapes of zero mass. Each log-prob
-    is one float add, as in a row-by-row loop. The slice is stored in its
-    resolved form, so one root degree's rows and the whole table compare
-    equal when they are the same rows."""
-    rows = slice(*rows.indices(len(skel.lgw)))
-    log_probs = skel.lgw[rows] + log_weight
+def _tabulate(skel: _Skeleton, log_weight: np.ndarray) -> TruncatedLaw:
+    """The law lgw + log_weight over a shape table's rows, leaving out
+    shapes of zero mass. Each log-prob is one float add, as in a
+    row-by-row loop."""
+    log_probs = skel.lgw + log_weight
     keep = log_probs != LOG_ZERO
-    if keep.all():
-        return TruncatedLaw._tabulated((skel, rows, None), log_probs)
-    return TruncatedLaw._tabulated((skel, rows, keep), log_probs[keep])
+    return TruncatedLaw._tabulated((skel, keep), log_probs[keep])
 
 
 def _finalize(
@@ -843,7 +813,10 @@ def condensation_family(
     if k0 <= degree_cap:
         skel = _skeleton(p, h, degree_cap, k0)
         weight = _weights(lambda k: _log_condensation_weight(p, h, k), skel.widths)
-        law = _tabulate(skel, weight[skel.width[skel.rows[k0]]], skel.rows[k0])
+        rows = skel.rows[k0]
+        log_weight = np.full(len(skel.lgw), LOG_ZERO)
+        log_weight[rows] = weight[skel.width[rows]]
+        law = _tabulate(skel, log_weight)
     return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)}, law)
 
 

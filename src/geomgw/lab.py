@@ -137,6 +137,11 @@ class ExperimentConfig:
             for name, value in fields:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValidationError(f"{name} must be {what}, got {value!r}")
+        OffspringParams(self.eta, self.q)  # its own range checks, before any grid point
+        if not 0.0 <= self.certify_tolerance < math.inf:
+            raise ValidationError(
+                f"certify_tolerance must be finite and >= 0, got {self.certify_tolerance!r}"
+            )
         if self.regime not in REGIMES:
             raise ValidationError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.h < 1:
@@ -252,12 +257,13 @@ def per_tree_gap(l1: TruncatedLaw, l2: TruncatedLaw) -> float:
 
 def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray]:
     """The two laws' probabilities over the union of their codes, in sorted
-    code order; laws of different balls (h or k0) are refused. Two laws
-    tabulated over the same rows of one shape table (the same table, row
-    slice and keep mask) give their cached probability columns, and no
-    code is read. Otherwise the codes are merged: the sort only merges
-    l1's codes with the few runs of l2's codes that l1 lacks."""
-    for key in ("h", "k0"):
+    code order. Laws of different balls (h or k0) or degree caps are
+    refused: a code past one law's cap lies in its residual, not at mass
+    zero, so their distance would not be bracketed. Two laws that keep
+    the same rows of one shape table give their cached probability
+    columns, and no code is read. Otherwise the codes are merged: the sort
+    only merges l1's codes with the few runs of l2's codes that l1 lacks."""
+    for key in ("h", "k0", "degree_cap"):
         if l1.meta.get(key) != l2.meta.get(key):
             raise ValidationError(
                 f"laws disagree on {key}: {l1.meta.get(key)} vs {l2.meta.get(key)}"

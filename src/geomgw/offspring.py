@@ -112,7 +112,7 @@ class IteratedLaw:
     """Law of the n-th generation size started from one ancestor.
 
     Again a two-parameter geometric law, pinned by its own pole gamma_n.
-    The differences gamma_n - 1 and gamma_n - kappa are stored from their
+    The differences gamma_n - 1 and gamma_n - kappa enter through their
     cancellation-free closed forms: for subcritical parameters gamma_n
     approaches kappa at rate mu^n, and computing the difference by
     subtraction would throw away every significant digit that the deep
@@ -122,10 +122,7 @@ class IteratedLaw:
     convention gamma_0 = +inf.
     """
 
-    n: int
     gamma_n: float
-    gamma_minus_one: float
-    gamma_minus_kappa: float
     log_gamma: float
     # log(gamma_n - kappa) + log(gamma_n - 1), the log of the pole
     # differences' product that every generation-size mass carries; it stays
@@ -161,11 +158,7 @@ def iterate(p: OffspringParams, n: int) -> IteratedLaw:
     if n < 0:
         raise ValidationError(f"generation index must be >= 0, got {n}")
     if n == 0:
-        return IteratedLaw(
-            n=0, gamma_n=math.inf, gamma_minus_one=math.inf,
-            gamma_minus_kappa=math.inf, log_gamma=math.inf,
-            log_gap_product=math.inf,
-        )
+        return IteratedLaw(gamma_n=math.inf, log_gamma=math.inf, log_gap_product=math.inf)
     mu = p.mean
     kappa = p.kappa
     if n == 1:
@@ -174,8 +167,7 @@ def iterate(p: OffspringParams, n: int) -> IteratedLaw:
         gm1 = p.q / (1.0 - p.q)
         gmk = p.eta / (1.0 - p.q)
         return IteratedLaw(
-            n=1, gamma_n=p.gamma, gamma_minus_one=gm1, gamma_minus_kappa=gmk,
-            log_gamma=-math.log1p(-p.q),
+            gamma_n=p.gamma, log_gamma=-math.log1p(-p.q),
             log_gap_product=math.log(gmk) + math.log(gm1),
         )
     if p.eta == p.q:
@@ -198,8 +190,7 @@ def iterate(p: OffspringParams, n: int) -> IteratedLaw:
             gm1, -n * math.log(mu), 1.0 - kappa, mun_inv
         )
     return IteratedLaw(
-        n=n, gamma_n=1.0 + gm1, gamma_minus_one=gm1, gamma_minus_kappa=gmk,
-        log_gamma=math.log1p(gm1), log_gap_product=log_gap,
+        gamma_n=1.0 + gm1, log_gamma=math.log1p(gm1), log_gap_product=log_gap,
     )
 
 

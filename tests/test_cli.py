@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import geomgw
-from geomgw import TruncatedLaw
+from geomgw import OffspringParams, kesten_family
 from geomgw.cli import REGIME_OPTIONS, _resolve_config, build_parser, main
 from geomgw.lab import LAWS
 
@@ -36,13 +36,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def law_doc(capsys, *argv):
+    """The JSON document `geomgw law ... --format json` prints."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    return json.loads(out)
+
+
+def csv_text(law):
+    buf = io.StringIO()
+    law.write_csv(buf)
+    return buf.getvalue()
+
+
 # -- law ----------------------------------------------------------------------
 
 
 def test_law_csv_frozen_kesten(capsys):
     code, out, err = run(capsys, *KESTEN_LAW_ARGS)
     assert code == 0
-    law = TruncatedLaw.read_csv(io.StringIO(out))
+    law = kesten_family(OffspringParams(0.5, 0.5), 1, 3)
+    assert out == csv_text(law)
     assert law.meta["law"] == "kesten"
     want = {"1,0": 0.25, "2,0,0": 0.25, "3,0,0,0": 0.1875}
     assert set(law.entries) == set(want)
@@ -66,12 +80,13 @@ def test_law_out_file(tmp_path, capsys):
     code, out, err = run(capsys, *KESTEN_LAW_ARGS, "--out", str(dest))
     assert code == 0
     assert out == ""
-    law = TruncatedLaw.read_csv(io.StringIO(dest.read_text()))
+    law = kesten_family(OffspringParams(0.5, 0.5), 1, 3)
+    assert dest.read_text() == csv_text(law)
     assert len(law.entries) == 3
 
 
 def test_law_restricted_view(capsys):
-    code, out, err = run(
+    doc = law_doc(
         capsys,
         "law",
         "--regime",
@@ -91,10 +106,8 @@ def test_law_restricted_view(capsys):
         "--k0",
         "2",
     )
-    assert code == 0
-    law = TruncatedLaw.read_csv(io.StringIO(out))
-    assert law.meta["law"] == "conditioned-restricted"
-    assert law.meta["k0"] == "2"
+    assert doc["meta"]["law"] == "conditioned-restricted"
+    assert doc["meta"]["k0"] == "2"
 
 
 # `law` output pinned across changes, CSV and JSON: every regime at
@@ -214,36 +227,28 @@ def test_law_output_is_pinned(capsys, args, csv_digest, json_digest):
 )
 def test_law_whose_mass_rounds_to_one(capsys, extra):
     # the tabulated mass sits half an ulp below 1: the residual is zero
-    code, out, err = run(
-        capsys, "law", "--height", "1", "--degree-cap", "6", *extra
-    )
-    assert code == 0, err
-    law = TruncatedLaw.read_csv(io.StringIO(out))
-    assert law.log_residual == -math.inf
-    assert law.entries
+    doc = law_doc(capsys, "law", "--height", "1", "--degree-cap", "6", *extra)
+    assert doc["log_residual"] == -math.inf
+    assert doc["entries"]
 
 
 def test_law_conditioned_restricted_without_extinction(capsys):
-    code, out, err = run(
+    doc = law_doc(
         capsys, "law", "--regime", "conditioned", "--eta", "1", "--q", "0.5",
         "--n", "5", "--a", "3", "--height", "2", "--degree-cap", "3", "--k0", "2",
     )
-    assert code == 0, err
-    law = TruncatedLaw.read_csv(io.StringIO(out))
-    assert law.meta["law"] == "conditioned-restricted"
-    assert law.entries
+    assert doc["meta"]["law"] == "conditioned-restricted"
+    assert doc["entries"]
 
 
 @pytest.mark.parametrize("eta,q", [(0.3, 0.5), (0.6, 0.3)], ids=["sub", "sup"])
 def test_law_conditioned_at_a_deep_generation(capsys, eta, q):
     # at n = 2000 the smaller pole gap lies below the float range
-    code, out, err = run(
+    doc = law_doc(
         capsys, "law", "--regime", "conditioned", "--eta", str(eta), "--q", str(q),
         "--n", "2000", "--a", "1", "--height", "1", "--degree-cap", "3",
     )
-    assert code == 0, err
-    law = TruncatedLaw.read_csv(io.StringIO(out))
-    assert all(math.isfinite(v) for v in law.entries.values())
+    assert all(math.isfinite(v) for v in doc["entries"].values())
 
 
 @pytest.mark.parametrize(
@@ -252,13 +257,11 @@ def test_law_conditioned_at_a_deep_generation(capsys, eta, q):
 )
 def test_law_deeper_than_the_recursion_limit(capsys, regime, eta, height, cap, ball):
     # pools are built bottom-up, so the radius is not bounded by the stack
-    code, out, err = run(
+    doc = law_doc(
         capsys, "law", "--regime", regime, "--eta", eta, "--q", "0.5",
         "--height", str(height), "--degree-cap", str(cap),
     )
-    assert code == 0, err
-    law = TruncatedLaw.read_csv(io.StringIO(out))
-    assert list(law.entries) == [ball]
+    assert list(doc["entries"]) == [ball]
 
 
 def law_args_for(regime, *extra):

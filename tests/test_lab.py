@@ -100,6 +100,12 @@ def test_config_rejects_non_object():
         {"theta_grid": (math.inf,)},
         {"a_rule": "linear"},
         {"a_rule": "const", "a_const": 0},
+        {"eta": 1.5},
+        {"eta": 0.0},
+        {"q": 1.0},
+        {"certify_tolerance": math.nan},
+        {"certify_tolerance": -0.01},
+        {"certify_tolerance": math.inf},
     ],
 )
 def test_config_field_validation(overrides):
@@ -197,6 +203,9 @@ def test_distances_refuse_laws_of_different_balls(distance):
         (kesten_family(CRIT, 1, 3), kesten_family(CRIT, 2, 3)),
         (kesten_restricted_family(CRIT, 2, 1, 3),
          condensation_family(CRIT, 2, 2, 3)),
+        # one law at two degree caps: the true TV is 0, but the codes past
+        # the smaller cap would read as disagreement
+        (kesten_family(CRIT, 1, 2), kesten_family(CRIT, 1, 6)),
     ]
     for l1, l2 in pairs:
         for a, b in ((l1, l2), (l2, l1)):
@@ -245,11 +254,10 @@ def _table_pairs():
         p, 10, target_generation_size(cfg, 10), cfg.h, cfg.degree_cap
     )
     yield cond, kesten_family(p, cfg.h, cfg.degree_cap)
-    # the plain law also lists the balls that stop short of depth 2
-    buf = io.StringIO()
-    poisson_family(CRIT, 2, 0.7, 4).write_csv(buf)
-    reread = TruncatedLaw.read_csv(io.StringIO(buf.getvalue()))
-    yield reread, gw_family(CRIT, 2, 4)
+    # the plain law also lists the balls that stop short of depth 2; the
+    # entries-built copy shares no table with it
+    law = poisson_family(CRIT, 2, 0.7, 4)
+    yield TruncatedLaw(law.entries, law.log_residual, law.meta), gw_family(CRIT, 2, 4)
     # the codes of one shape table, as both weights drop its width-0 shapes:
     # read in place
     cond, kesten = conditioned_family(CRIT, 5, 3, 2, 4), kesten_family(CRIT, 2, 4)

@@ -140,11 +140,11 @@ def test_iterate_matches_exact_rationals():
             it = iterate(p, n)
             want = exact_gamma_n(p, n)
             assert it.gamma_n == pytest.approx(float(want), rel=1e-13)
-            assert it.gamma_minus_one == pytest.approx(float(want - 1), rel=1e-12)
-            kappa = Fraction(1 - p.eta) / Fraction(1 - p.q)
-            assert it.gamma_minus_kappa == pytest.approx(
-                float(want - kappa), rel=1e-12
-            )
+            # the pole gaps' product, exact until its one rounding to a float;
+            # gamma_n - kappa falls to about mu^n, far below gamma_n's ulp
+            kappa = (1 - Fraction(p.eta)) / (1 - Fraction(p.q))
+            gaps = float((want - 1) * (want - kappa))
+            assert it.log_gap_product == pytest.approx(math.log(gaps), rel=1e-14, abs=1e-15)
 
 
 def test_iterate_chains_through_gf():
