@@ -538,13 +538,15 @@ class TruncatedLaw:
     codes tuple lists every row it may hold in code order, and a boolean
     mask over those rows: a law tabulated here keeps its shape table and
     the rows of nonzero mass, and one built from an entries dict keeps its
-    sorted codes and every row. codes is built on first read: the support's
-    own tuple when the mask keeps every row. entries is the code -> log
-    probability dict in code order and probs the column of probabilities
-    (math.exp of each entry); both are derived from the columns on first
-    use and then kept. log_residual bounds (in log space) the mass the
-    table does not see, i.e. 1 minus the tabulated total. meta records how
-    the table was built, and rides along in the CSV header comment.
+    sorted codes and every row. Two laws of one table thus share a support
+    and line up by their masks alone, with no code read. codes is built on
+    first read: the support's own tuple when the mask keeps every row.
+    entries is the code -> log probability dict in code order and probs
+    the column of probabilities (math.exp of each entry); both are derived
+    from the columns on first use and then kept. log_residual bounds (in
+    log space) the mass the table does not see, i.e. 1 minus the
+    tabulated total. meta records how the table was built, and rides
+    along in the CSV header comment.
     """
 
     def __init__(
@@ -572,13 +574,6 @@ class TruncatedLaw:
     def codes(self) -> tuple[str, ...]:
         support, keep = self._source
         return support.codes if keep.all() else tuple(compress(support.codes, keep.tolist()))
-
-    def _same_rows(self, other: "TruncatedLaw") -> bool:
-        """Whether both laws keep the same rows of one support, so their
-        columns align row for row; laws built from entries dicts never
-        share a support."""
-        (s1, k1), (s2, k2) = self._source, other._source
-        return s1 is s2 and np.array_equal(k1, k2)
 
     @cached_property
     def entries(self) -> dict[str, float]:

@@ -23,7 +23,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, TextIO
 
@@ -42,7 +41,6 @@ from .exactlaw import (
     poisson_family,
     poisson_restricted_family,
 )
-from .logspace import LOG_ZERO
 from .offspring import OffspringParams
 from .sampler import (
     sample_condensation,
@@ -259,26 +257,35 @@ def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray
     """The two laws' probabilities over the union of their codes, in sorted
     code order. Laws of different balls (h or k0) or degree caps are
     refused: a code past one law's cap lies in its residual, not at mass
-    zero, so their distance would not be bracketed. Two laws that keep
-    the same rows of one shape table give their cached probability
-    columns, and no code is read. Otherwise the codes are merged: the sort
-    only merges l1's codes with the few runs of l2's codes that l1 lacks."""
+    zero, so their distance would not be bracketed. Both laws are put on
+    one support: two laws of one shape table share it and no code is
+    read, and two laws on different supports share the sorted union of
+    their codes, with a mask each. Each law's cached probability column
+    is spread over the union of the two row masks, 0.0 on the rows it
+    does not keep; a law that keeps every row of the union is its own
+    column, not a copy."""
     for key in ("h", "k0", "degree_cap"):
         if l1.meta.get(key) != l2.meta.get(key):
             raise ValidationError(
                 f"laws disagree on {key}: {l1.meta.get(key)} vs {l2.meta.get(key)}"
             )
-    if l1._same_rows(l2):
-        return l1.probs, l2.probs
-    e1, e2 = l1.entries, l2.entries
-    codes = list(e1)
-    codes.extend(c for c in e2 if c not in e1)
-    codes.sort()
-    return tuple(
-        np.fromiter(map(math.exp, map(e.get, codes, repeat(LOG_ZERO))),
-                    dtype=np.float64, count=len(codes))
-        for e in (e1, e2)
-    )
+    (s1, k1), (s2, k2) = l1._source, l2._source
+    if s1 is not s2:
+        codes = sorted(set(l1.codes).union(l2.codes))
+        k1, k2 = (np.fromiter(map(set(law.codes).__contains__, codes), bool, len(codes))
+                  for law in (l1, l2))
+    union = k1 | k2
+    return _spread(l1.probs, k1[union]), _spread(l2.probs, k2[union])
+
+
+def _spread(probs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The column probs over the rows of a mask that keeps len(probs) of
+    them, 0.0 elsewhere."""
+    if keep.all():
+        return probs
+    out = np.zeros(len(keep))
+    out[keep] = probs
+    return out
 
 
 # ---------------------------------------------------------------------------

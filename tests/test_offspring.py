@@ -87,20 +87,6 @@ def test_pole_identities(p):
     assert p.q == pytest.approx(1.0 - 1.0 / p.gamma, abs=1e-12)
 
 
-@given(params_st)
-def test_pole_round_trip(p):
-    back = OffspringParams.from_poles(kappa=p.kappa, gamma=p.gamma)
-    assert back.eta == pytest.approx(p.eta, abs=1e-12)
-    assert back.q == pytest.approx(p.q, abs=1e-12)
-
-
-def test_from_poles_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        OffspringParams.from_poles(kappa=2.0, gamma=1.4)
-    with pytest.raises(ValidationError):
-        OffspringParams.from_poles(kappa=0.5, gamma=0.9)
-
-
 def test_generating_function_values():
     assert CRIT.gf(0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
     # the gf extends past 1 as a rational function; it maps pole iterates
