@@ -271,20 +271,20 @@ def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray
             )
     (s1, k1), (s2, k2) = l1._source, l2._source
     if s1 is not s2:
-        codes = sorted(set(l1.codes).union(l2.codes))
-        k1, k2 = (np.fromiter(map(set(law.codes).__contains__, codes), bool, len(codes))
-                  for law in (l1, l2))
+        c1, c2 = set(l1.codes), set(l2.codes)
+        codes = sorted(c1 | c2)
+        k1, k2 = (np.fromiter(map(c.__contains__, codes), bool, len(codes)) for c in (c1, c2))
     union = k1 | k2
-    return _spread(l1.probs, k1[union]), _spread(l2.probs, k2[union])
+    return _spread(l1.probs, k1, union), _spread(l2.probs, k2, union)
 
 
-def _spread(probs: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The column probs over the rows of a mask that keeps len(probs) of
-    them, 0.0 elsewhere."""
-    if keep.all():
+def _spread(probs: np.ndarray, keep: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """The column probs of the rows keep over the rows union (a superset of
+    them), 0.0 on the rows keep lacks."""
+    if np.array_equal(keep, union):
         return probs
-    out = np.zeros(len(keep))
-    out[keep] = probs
+    out = np.zeros(np.count_nonzero(union))
+    out[keep[union]] = probs
     return out
 
 

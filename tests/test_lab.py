@@ -222,8 +222,8 @@ def test_per_tree_gap_hand_value():
 
 
 def _reference_tv_and_gap(l1, l2):
-    # the alignment tv_distance and per_tree_gap used before the merge: a
-    # fresh sort of the set union, summed by an explicit loop
+    # a fresh sort of the set union of both laws' codes, summed by an
+    # explicit loop
     tv = 0.0
     gap = 0.0
     for c in sorted(set(l1.entries) | set(l2.entries)):
@@ -271,7 +271,7 @@ def _table_pairs():
     view = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
     yield view, condensation_family(CRIT, 1, 10, 10)
     # tables built from one shuffled entries order: each sorts its codes,
-    # so the merge sums in code order
+    # so the union of the two sums in code order
     laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
     order = list(laws[0].entries)
     random.Random(7).shuffle(order)
