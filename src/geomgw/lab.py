@@ -280,10 +280,13 @@ def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray
 
 def _spread(probs: np.ndarray, keep: np.ndarray, union: np.ndarray) -> np.ndarray:
     """The column probs of the rows keep over the rows union (a superset of
-    them), 0.0 on the rows keep lacks."""
-    if np.array_equal(keep, union):
+    them), 0.0 on the rows keep lacks. probs has one value per row of keep,
+    so counting union's rows tells whether keep is all of it; no temporary
+    array is made then."""
+    size = np.count_nonzero(union)
+    if len(probs) == size:
         return probs
-    out = np.zeros(np.count_nonzero(union))
+    out = np.zeros(size)
     out[keep[union]] = probs
     return out
 
