@@ -313,7 +313,7 @@ def _distances(l1, l2):
     return tv_distance(l1, l2)[0].hex(), per_tree_gap(l1, l2).hex()
 
 
-def _assert_matches_the_merge(l1, l2):
+def _assert_matches_entries_copies(l1, l2):
     # copies built from entries have no shape table, so each pair of them
     # lies on two supports and is put on the sorted union of their codes
     c1, c2 = (TruncatedLaw(law.entries, law.log_residual, law.meta) for law in (l1, l2))
@@ -323,12 +323,12 @@ def _assert_matches_the_merge(l1, l2):
 
 def test_same_table_columns_match_the_merge_bit_for_bit():
     for l1, l2 in _same_table_pairs():
-        _assert_matches_the_merge(l1, l2)
+        _assert_matches_entries_copies(l1, l2)
     # one table, different keep masks: the plain law keeps the width-0 rows
     # that the Kesten weight drops, so the Kesten column is spread over them
     gw, kesten = gw_family(CRIT, 2, 6), kesten_family(CRIT, 2, 6)
     assert gw._source[0] is kesten._source[0]
-    _assert_matches_the_merge(gw, kesten)
+    _assert_matches_entries_copies(gw, kesten)
 
 
 def test_bundled_sweeps_build_no_code_string():
