@@ -331,6 +331,35 @@ def test_same_table_columns_match_the_merge_bit_for_bit():
     _assert_matches_entries_copies(gw, kesten)
 
 
+def test_alignment_on_the_same_rows_returns_the_cached_columns():
+    # laws that keep the same rows of one table are their own columns: the
+    # alignment copies nothing, so a Kesten-sweep row pays no spread
+    for l1, l2 in _same_table_pairs():
+        p1, p2 = lab._aligned(l1, l2)
+        assert p1 is l1.probs
+        assert p2 is l2.probs
+
+
+def test_alignment_spreads_zero_on_the_rows_a_law_drops():
+    # the plain law keeps the width-0 rows the Kesten weight drops: its
+    # column is returned as it is, and the Kesten column is spread over the
+    # union with 0.0 exactly on the dropped rows, its values in row order
+    gw, kesten = gw_family(CRIT, 2, 6), kesten_family(CRIT, 2, 6)
+    k_gw, k_kesten = gw._source[1], kesten._source[1]
+    assert not (k_kesten & ~k_gw).any()
+    p_gw, p_kesten = lab._aligned(gw, kesten)
+    assert p_gw is gw.probs
+    dropped = ~k_kesten[k_gw]
+    assert dropped.any()
+    assert len(p_kesten) == len(p_gw)
+    assert (p_kesten[dropped] == 0.0).all()
+    assert p_kesten[~dropped].tobytes() == kesten.probs.tobytes()
+    # the other order spreads the same column
+    p_kesten2, p_gw2 = lab._aligned(kesten, gw)
+    assert p_gw2 is gw.probs
+    assert p_kesten2.tobytes() == p_kesten.tobytes()
+
+
 def test_bundled_sweeps_build_no_code_string():
     # every pair these sweeps compare lies on one table, so the tables'
     # code strings are never built
