@@ -32,7 +32,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, product, zip_longest
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import gammaln
@@ -530,45 +529,27 @@ def _sibling_sum_kesten(
 
 
 class TruncatedLaw:
-    """A law tabulated over an enumerated set of tree codes.
+    """A law tabulated over the rows of a shape table.
 
-    The table is stored as two columns in code (string) order: codes, a
-    tuple of text tree codes, and log_probs, a read-only float64 array of
-    their log probabilities. Every law keeps its support, an object whose
-    codes tuple lists every row it may hold in code order, and a boolean
-    mask over those rows: a law tabulated here keeps its shape table and
-    the rows of nonzero mass, and one built from an entries dict keeps its
-    sorted codes and every row. Two laws of one table thus share a support
-    and line up by their masks alone, with no code read. codes is built on
-    first read: the support's own tuple when the mask keeps every row.
-    entries is the code -> log probability dict in code order and probs
-    the column of probabilities (math.exp of each entry); both are derived
-    from the columns on first use and then kept. log_residual bounds (in
-    log space) the mass the table does not see, i.e. 1 minus the
-    tabulated total. meta records how the table was built, and rides
-    along in the CSV header comment.
+    source = (support, keep) is a shape table, whose codes tuple lists its
+    rows in code (string) order, and a boolean mask over those rows: the
+    rows of nonzero mass. log_probs is a read-only float64 array of their
+    log probabilities, one per kept row. Every law lies on one table, and
+    a table's rows depend on (h, degree_cap, k0) alone, so two laws of one
+    ball line up by their masks, with no code read. codes, the kept rows'
+    text tree codes, is built on first read: the support's own tuple when
+    the mask keeps every row. entries is the code -> log probability dict
+    in code order and probs the column of probabilities (math.exp of each
+    entry); both are derived from the columns on first use and then kept.
+    log_residual bounds (in log space) the mass the table does not see,
+    i.e. 1 minus the tabulated total; a new law has none yet. meta records
+    how the table was built, and rides along in the CSV header comment.
     """
 
-    def __init__(
-        self, entries: dict[str, float], log_residual: float, meta: dict | None = None
-    ) -> None:
-        codes = tuple(sorted(entries))
-        log_probs = np.fromiter(map(entries.get, codes), np.float64, len(codes))
-        self._set((SimpleNamespace(codes=codes), np.ones(len(codes), bool)),
-                  log_probs, log_residual, meta)
-
-    @classmethod
-    def _tabulated(cls, source: tuple, log_probs: np.ndarray) -> "TruncatedLaw":
-        """The law over the rows source = (shape table, row mask) keeps,
-        with no meta and no residual yet."""
-        law = cls.__new__(cls)
-        law._set(source, log_probs, LOG_ZERO, None)
-        return law
-
-    def _set(self, source, log_probs, log_residual, meta) -> None:
+    def __init__(self, source: tuple, log_probs: np.ndarray) -> None:
         log_probs.flags.writeable = False
-        self._source, self.log_probs, self.log_residual = source, log_probs, log_residual
-        self.meta = {} if meta is None else meta
+        self._source, self.log_probs = source, log_probs
+        self.log_residual, self.meta = LOG_ZERO, {}
 
     @cached_property
     def codes(self) -> tuple[str, ...]:
@@ -708,7 +689,7 @@ def _tabulate(skel: _Skeleton, log_weight: np.ndarray) -> TruncatedLaw:
     row-by-row loop."""
     log_probs = skel.lgw + log_weight
     keep = log_probs != LOG_ZERO
-    return TruncatedLaw._tabulated((skel, keep), log_probs[keep])
+    return TruncatedLaw((skel, keep), log_probs[keep])
 
 
 def _finalize(
@@ -802,17 +783,18 @@ def condensation_family(
 ) -> TruncatedLaw:
     """(h, k0)-ball law of the fat limit tree, tabulated. The support is
     every ball with root degree exactly k0 and height <= h, dying
-    truncations included: the root-degree-k0 rows of the view's table."""
+    truncations included: the root-degree-k0 rows of the view's table, the
+    one its restricted views read. Past the cap that table has no such
+    row, and the law keeps none."""
     _check_view(h, k0)
-    law = TruncatedLaw({}, LOG_ZERO)  # past the cap: no support, and no table built
-    if k0 <= degree_cap:
-        skel = _skeleton(p, h, degree_cap, k0)
+    skel = _skeleton(p, h, degree_cap, k0)
+    log_weight = np.full(len(skel.lgw), LOG_ZERO)
+    if k0 in skel.rows:
         weight = _weights(lambda k: _log_condensation_weight(p, h, k), skel.widths)
         rows = skel.rows[k0]
-        log_weight = np.full(len(skel.lgw), LOG_ZERO)
         log_weight[rows] = weight[skel.width[rows]]
-        law = _tabulate(skel, log_weight)
-    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)}, law)
+    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)},
+                     _tabulate(skel, log_weight))
 
 
 def _restricted_family(

@@ -53,8 +53,8 @@ def g_test_against_law(
         raise ValidationError("need at least one observation")
     kept: list[tuple[float, float]] = []  # (observed, expected)
     kept_codes = set()
-    for code, logp in law.entries.items():
-        expected = total * math.exp(logp)
+    for code, prob in zip(law.codes, law.probs.tolist()):
+        expected = total * prob
         if expected >= MIN_EXPECTED:
             kept.append((float(counts.get(code, 0)), expected))
             kept_codes.add(code)
@@ -71,7 +71,7 @@ def g_test_against_law(
                 statistic = math.inf
             else:
                 statistic += 2.0 * obs * math.log(obs / exp)
-    pooled = len(law.entries) - len(kept_codes)
+    pooled = len(law.log_probs) - len(kept_codes)
     return _finish(statistic, classes - 1, classes, pooled)
 
 

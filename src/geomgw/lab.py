@@ -237,8 +237,7 @@ def tv_distance(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[float, float]:
     """Total variation over the tabulated codes, plus the pessimistic bound
     contributed by the two residual masses. The true TV lies within
     [tv, tv + bound]."""
-    # summed left to right in sorted-code order: set order varies with hash
-    # randomization across processes, and both builtin sum() (from Python
+    # summed left to right in code order: both builtin sum() (from Python
     # 3.12 on) and ndarray.sum() (pairwise) round differently; the sum must
     # be byte-reproducible, and accumulate adds strictly left to right
     gaps = np.abs(np.subtract(*_aligned(l1, l2)))
@@ -254,26 +253,23 @@ def per_tree_gap(l1: TruncatedLaw, l2: TruncatedLaw) -> float:
 
 
 def _aligned(l1: TruncatedLaw, l2: TruncatedLaw) -> tuple[np.ndarray, np.ndarray]:
-    """The two laws' probabilities over the union of their codes, in sorted
-    code order. Laws of different balls (h or k0) or degree caps are
-    refused: a code past one law's cap lies in its residual, not at mass
-    zero, so their distance would not be bracketed. Both laws are put on
-    one support: two laws of one shape table share it and no code is
-    read, and two laws on different supports share the sorted union of
-    their codes, with a mask each. Each law's cached probability column
-    is spread over the union of the two row masks, 0.0 on the rows it
-    does not keep; a law that keeps every row of the union is its own
-    column, not a copy."""
+    """The two laws' probabilities over the union of their rows, in code
+    order. Laws of different balls (h or k0) or degree caps are refused: a
+    code past one law's cap lies in its residual, not at mass zero, so
+    their distance would not be bracketed. A shape table's rows depend on
+    (h, degree_cap, k0) alone, never on (eta, q), so two laws of one ball
+    have masks over the same rows in the same order, and no code is read.
+    Each law's cached probability column is spread over the union of the
+    two row masks, 0.0 on the rows it does not keep; a law that keeps
+    every row of the union is its own column, not a copy."""
     for key in ("h", "k0", "degree_cap"):
         if l1.meta.get(key) != l2.meta.get(key):
             raise ValidationError(
                 f"laws disagree on {key}: {l1.meta.get(key)} vs {l2.meta.get(key)}"
             )
-    (s1, k1), (s2, k2) = l1._source, l2._source
-    if s1 is not s2:
-        c1, c2 = set(l1.codes), set(l2.codes)
-        codes = sorted(c1 | c2)
-        k1, k2 = (np.fromiter(map(c.__contains__, codes), bool, len(codes)) for c in (c1, c2))
+    k1, k2 = l1._source[1], l2._source[1]
+    if len(k1) != len(k2):
+        raise ValidationError(f"laws disagree on rows: {len(k1)} vs {len(k2)}")
     union = k1 | k2
     return _spread(l1.probs, k1, union), _spread(l2.probs, k2, union)
 

@@ -4,10 +4,10 @@ import functools
 import io
 import math
 import operator
-import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from geomgw import (
@@ -707,7 +707,8 @@ def test_a_view_and_its_fat_limit_share_one_skeleton(h, k0, cap):
         kesten_restricted_family(SUB, h, k0, cap),
         poisson_restricted_family(SUB, h, k0, 0.7, cap),
     ]
-    # past the cap the fat limit has no support and reads no table
+    # past the cap too, the fat limit reads the view's table and keeps none
+    # of its rows
     assert exactlaw._skeleton.cache_info().misses == 1
     skel = exactlaw._skeleton(SUB, h, cap, k0)
     assert set(skel.rows) == set(range(1, min(k0, cap) + 1))
@@ -736,6 +737,27 @@ def test_condensation_family_is_the_view_rows_of_root_degree_k0(p, h, k0, cap):
     want = [(code, lp) for code, lp in want if lp != -math.inf]
     assert fat.codes == tuple(code for code, _ in want)
     assert [lp.hex() for lp in fat.log_probs.tolist()] == [lp.hex() for _, lp in want]
+
+
+def test_the_fat_limit_past_the_cap_shares_its_view_table():
+    # no row of the (2, 5) view's table has root degree 5 at cap 3, so
+    # the fat limit keeps no row of it, and reads it all the same
+    fat = condensation_family(CRIT, 2, 5, 3)
+    view = conditioned_restricted_family(CRIT, 10, 7, 2, 5, 3)
+    assert fat._source[0] is view._source[0]
+    assert not fat._source[1].any()
+    assert fat.log_residual == 0.0
+
+
+def test_the_fat_limit_past_the_cap_refuses_what_its_view_refuses():
+    # (h, k0, cap) = (2, 9, 8): the view's root degrees 1 .. 8 hold more
+    # balls than the enumeration cap, and the fat limit builds that table
+    for build in (
+        lambda: condensation_family(CRIT, 2, 9, 8),
+        lambda: kesten_restricted_family(CRIT, 2, 9, 8),
+    ):
+        with pytest.raises(ResourceError, match="more than the cap of 5000000"):
+            build()
 
 
 def test_a_view_table_is_capped_as_a_whole():
@@ -939,11 +961,6 @@ def _order_cases():
                 yield conditioned_restricted_family(p, 5, 3, h, k0, cap)
                 yield kesten_restricted_family(p, h, k0, cap)
                 yield poisson_restricted_family(p, h, k0, 0.7, cap)
-    law = kesten_restricted_family(CRIT, 1, 12, 12)
-    shuffled = list(law.entries.items())
-    random.Random(3).shuffle(shuffled)
-    assert [c for c, _ in shuffled] != sorted(law.codes)
-    yield TruncatedLaw(dict(shuffled), law.log_residual, law.meta)
 
 
 def test_every_law_is_in_code_order():
@@ -998,9 +1015,10 @@ def test_law_csv_sorts_a_wide_view():
 
 
 def test_normalize_check_rejects_excess_mass():
-    for entries in ({"0": 0.1}, {"0": -1.0, "1,0": math.nan}):
-        law = TruncatedLaw(
-            entries=entries, log_residual=-math.inf, meta={"law": "bogus"}
-        )
+    # the rows "0" and "1,0": mass e^0.1 on the first, or NaN on the second
+    skel = exactlaw._skeleton(CRIT, 1, 1, None)
+    for keep, log_probs in (([True, False], [0.1]), ([True, True], [-1.0, math.nan])):
+        law = TruncatedLaw((skel, np.array(keep)), np.array(log_probs))
+        law.meta = {"law": "bogus"}
         with pytest.raises(CertificationError):
             law_normalize_check(law)

@@ -6,6 +6,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geomgw import (
@@ -149,10 +150,22 @@ def test_target_size_default_rules():
 # -- distances ---------------------------------------------------------------
 
 
+def law_on(skel, masses, residual, **meta):
+    # a law over the rows of one shape table, with the given masses on the
+    # rows masses names and none on the rest
+    keep = np.array([c in masses for c in skel.codes])
+    assert np.count_nonzero(keep) == len(masses)
+    law = TruncatedLaw(
+        (skel, keep), np.array([math.log(masses[c]) for c in skel.codes if c in masses])
+    )
+    law.log_residual = math.log(residual) if residual > 0.0 else -math.inf
+    law.meta = meta
+    return law
+
+
 def law_of(masses, residual, **meta):
-    entries = {c: math.log(m) for c, m in masses.items()}
-    lr = math.log(residual) if residual > 0.0 else -math.inf
-    return TruncatedLaw(entries=entries, log_residual=lr, meta=meta)
+    # the rows "0", "1,0", "2,0,0" and "3,0,0,0"
+    return law_on(exactlaw._skeleton(CRIT, 1, 3, None), masses, residual, **meta)
 
 
 def test_tv_distance_hand_value():
@@ -165,22 +178,20 @@ def test_tv_distance_hand_value():
 
 
 def test_tv_distance_is_insertion_order_invariant():
-    # ~250 masses spread over many binades: any change in summation order
-    # moves the last bits, so bit-equality here pins the sorted-order sum
+    # ~250 masses spread over many binades on the 251 rows of one table:
+    # any change in summation order moves the last bits, so bit-equality
+    # with the reference loop pins the code-order sum
     rng = random.Random(9151)
-    codes = [f"{i},0" for i in range(251)]
+    skel = exactlaw._skeleton(CRIT, 1, 250, None)
+    codes = skel.codes
+    assert len(codes) == 251
     m1 = {c: math.ldexp(rng.random() + 1.0, -rng.randrange(10, 45)) for c in codes[:200]}
     m2 = {c: math.ldexp(rng.random() + 1.0, -rng.randrange(10, 45)) for c in codes[50:]}
-    fwd = tv_distance(law_of(m1, 0.25, h="2"), law_of(m2, 0.25, h="2"))
-    for _ in range(5):
-        o1, o2 = list(m1), list(m2)
-        rng.shuffle(o1)
-        rng.shuffle(o2)
-        scrambled = tv_distance(
-            law_of({c: m1[c] for c in o1}, 0.25, h="2"),
-            law_of({c: m2[c] for c in o2}, 0.25, h="2"),
-        )
-        assert scrambled == fwd
+    l1, l2 = law_on(skel, m1, 0.25, h="1"), law_on(skel, m2, 0.25, h="1")
+    for a, b in ((l1, l2), (l2, l1)):
+        tv, gap = _reference_tv_and_gap(a, b)
+        assert tv_distance(a, b)[0].hex() == tv.hex()
+        assert per_tree_gap(a, b).hex() == gap.hex()
 
 
 def test_tv_distance_sums_left_to_right():
@@ -211,6 +222,17 @@ def test_distances_refuse_laws_of_different_balls(distance):
         for a, b in ((l1, l2), (l2, l1)):
             with pytest.raises(ValidationError, match="laws disagree"):
                 distance(a, b)
+
+
+@pytest.mark.parametrize("distance", [tv_distance, per_tree_gap])
+def test_distances_refuse_masks_of_different_lengths(distance):
+    # one meta, two tables of different rows: refused before any numpy
+    # broadcast
+    l1 = law_of({"1,0": 0.5}, 0.5, h="1")
+    l2 = law_on(exactlaw._skeleton(CRIT, 1, 4, None), {"1,0": 0.5}, 0.5, h="1")
+    for a, b in ((l1, l2), (l2, l1)):
+        with pytest.raises(ValidationError, match="laws disagree on rows"):
+            distance(a, b)
 
 
 def test_per_tree_gap_hand_value():
@@ -254,10 +276,13 @@ def _table_pairs():
         p, 10, target_generation_size(cfg, 10), cfg.h, cfg.degree_cap
     )
     yield cond, kesten_family(p, cfg.h, cfg.degree_cap)
-    # the plain law also lists the balls that stop short of depth 2; the
-    # entries-built copy shares no table with it
-    law = poisson_family(CRIT, 2, 0.7, 4)
-    yield TruncatedLaw(law.entries, law.log_residual, law.meta), gw_family(CRIT, 2, 4)
+    # two offspring laws: two tables with the same rows, the plain view's
+    # mask keeping more of them than the fat limit's
+    yield kesten_family(SUB, 2, 4), kesten_family(CRIT, 2, 4)
+    yield (
+        conditioned_restricted_family(SUB, 10, 7, 2, 2, 4),
+        condensation_family(CRIT, 2, 2, 4),
+    )
     # the codes of one shape table, as both weights drop its width-0 shapes:
     # read in place
     cond, kesten = conditioned_family(CRIT, 5, 3, 2, 4), kesten_family(CRIT, 2, 4)
@@ -270,17 +295,7 @@ def _table_pairs():
     # its limit law
     view = conditioned_restricted_family(CRIT, 5, 3, 1, 10, 10)
     yield view, condensation_family(CRIT, 1, 10, 10)
-    # tables built from one shuffled entries order: each sorts its codes,
-    # so the union of the two sums in code order
-    laws = (kesten_family(CRIT, 2, 4), poisson_family(CRIT, 2, 0.7, 4))
-    order = list(laws[0].entries)
-    random.Random(7).shuffle(order)
-    yield tuple(
-        TruncatedLaw({c: law.entries[c] for c in order}, law.log_residual, law.meta)
-        for law in laws
-    )
-    # k0 past the cap: the fat limit has no table and keeps no row, so the
-    # pair lies on two supports
+    # k0 past the cap: the fat limit keeps no row of the view's table
     yield (
         conditioned_restricted_family(CRIT, 10, 1000, 2, 3, 2),
         condensation_family(CRIT, 2, 3, 2),
@@ -293,6 +308,21 @@ def test_tv_alignment_matches_the_sorted_union_bit_for_bit():
             tv, gap = _reference_tv_and_gap(a, b)
             assert tv_distance(a, b)[0].hex() == tv.hex()
             assert per_tree_gap(a, b).hex() == gap.hex()
+
+
+def test_cross_parameter_pair_reads_no_code():
+    # two offspring laws at one (h, cap) read two tables with the same
+    # rows: the masks line up as they are, and neither table's code
+    # strings are built
+    exactlaw._skeleton.cache_clear()
+    sub, crit = kesten_family(SUB, 2, 4), kesten_family(CRIT, 2, 4)
+    assert sub._source[0] is not crit._source[0]
+    got = [_distances(a, b) for a, b in ((sub, crit), (crit, sub))]
+    for law in (sub, crit):
+        assert "codes" not in vars(law._source[0])
+    for (a, b), distances in zip(((sub, crit), (crit, sub)), got):
+        tv, gap = _reference_tv_and_gap(a, b)
+        assert distances == (tv.hex(), gap.hex())
 
 
 def _same_table_pairs():
@@ -313,22 +343,20 @@ def _distances(l1, l2):
     return tv_distance(l1, l2)[0].hex(), per_tree_gap(l1, l2).hex()
 
 
-def _assert_matches_entries_copies(l1, l2):
-    # copies built from entries have no shape table, so each pair of them
-    # lies on two supports and is put on the sorted union of their codes
-    c1, c2 = (TruncatedLaw(law.entries, law.log_residual, law.meta) for law in (l1, l2))
-    assert _distances(l1, l2) == _distances(c1, c2)
-    assert _distances(l2, l1) == _distances(c2, c1)
+def _assert_matches_reference(l1, l2):
+    for a, b in ((l1, l2), (l2, l1)):
+        tv, gap = _reference_tv_and_gap(a, b)
+        assert _distances(a, b) == (tv.hex(), gap.hex())
 
 
 def test_same_table_columns_match_the_merge_bit_for_bit():
     for l1, l2 in _same_table_pairs():
-        _assert_matches_entries_copies(l1, l2)
+        _assert_matches_reference(l1, l2)
     # one table, different keep masks: the plain law keeps the width-0 rows
     # that the Kesten weight drops, so the Kesten column is spread over them
     gw, kesten = gw_family(CRIT, 2, 6), kesten_family(CRIT, 2, 6)
     assert gw._source[0] is kesten._source[0]
-    _assert_matches_entries_copies(gw, kesten)
+    _assert_matches_reference(gw, kesten)
 
 
 def test_alignment_on_the_same_rows_returns_the_cached_columns():

@@ -40,36 +40,11 @@ from geomgw import (
     sampler,
 )
 from geomgw.logspace import LOG_ZERO
+from pvalue import g_pvalue
 
 CRIT = OffspringParams(0.5, 0.5)
 SUB = OffspringParams(0.3, 0.5)
 SUP = OffspringParams(0.6, 0.3)
-
-
-def g_pvalue(counts, pmf, draws, support):
-    """G-test p-value of integer draw counts against an exact pmf,
-    pooling classes with expected count below 5 into a rest bucket."""
-    obs, exp = [], []
-    rest_obs = sum(c for v, c in counts.items() if v not in support)
-    rest_exp = draws
-    for v in support:
-        e = draws * pmf(v)
-        if e >= 5.0:
-            obs.append(counts.get(v, 0))
-            exp.append(e)
-            rest_exp -= e
-        else:
-            rest_obs += counts.get(v, 0)
-    if rest_exp >= 5.0:
-        obs.append(rest_obs)
-        exp.append(rest_exp)
-    else:
-        obs[-1] += rest_obs
-        exp[-1] += rest_exp
-    stat, p = scipy.stats.power_divergence(
-        obs, exp, lambda_="log-likelihood"
-    )
-    return p
 
 
 # -- determinism -------------------------------------------------------------
