@@ -276,8 +276,8 @@ def _table_pairs():
         p, 10, target_generation_size(cfg, 10), cfg.h, cfg.degree_cap
     )
     yield cond, kesten_family(p, cfg.h, cfg.degree_cap)
-    # two offspring laws: two tables with the same rows, the plain view's
-    # mask keeping more of them than the fat limit's
+    # two offspring laws: two tables with the same rows, the conditioned
+    # view's mask keeping more of them than the fat limit's
     yield kesten_family(SUB, 2, 4), kesten_family(CRIT, 2, 4)
     yield (
         conditioned_restricted_family(SUB, 10, 7, 2, 2, 4),
