@@ -15,10 +15,11 @@ probability unless the name says otherwise. The laws implemented:
 
 Each ball law is the plain ball mass times a weight of the ball's bottom
 width k = Z_h alone. Every law has exactly one weight function of
-(p, h, k); its per-tree law adds it to gw_tree_log_prob, and one record
-per law (_Law) carries it to both its family and its restricted view,
-whose tables go through the one tabulator, _tabulate. Each table reads
-one shape table in code order, so every tabulated law is in code order.
+(p, h, k), and its per-tree law adds it to gw_tree_log_prob. One record
+per law (_Law), the fat limit's included, carries that weight and the
+weight of a view's balls of root degree k0, and one tabulator, _tabulate,
+builds each family, view and fat law whole from it. Each table reads one
+shape table in code order, so every tabulated law is in code order.
 
 For root-degree-truncated balls the laws of the conditioned and skinny
 trees need an infinite series over the unobserved sibling subtrees; it
@@ -538,12 +539,13 @@ class TruncatedLaw:
     a table's rows depend on (h, degree_cap, k0) alone, so two laws of one
     ball line up by their masks, with no code read. codes, the kept rows'
     text tree codes, is built on first read: the support's own tuple when
-    the mask keeps every row. entries is the code -> log probability dict
+    the mask keeps every row, () with no code built when it keeps none. entries is the code -> log probability dict
     in code order and probs the column of probabilities (math.exp of each
     entry); both are derived from the columns on first use and then kept.
     log_residual bounds (in log space) the mass the table does not see,
-    i.e. 1 minus the tabulated total; a new law has none yet. meta records
-    how the table was built, and rides along in the CSV header comment.
+    i.e. 1 minus the tabulated total, and meta records how the table was
+    built and rides along in the CSV header comment; the tabulator sets
+    both, and a law built by hand starts with neither.
     """
 
     def __init__(self, source: tuple, log_probs: np.ndarray) -> None:
@@ -554,7 +556,9 @@ class TruncatedLaw:
     @cached_property
     def codes(self) -> tuple[str, ...]:
         support, keep = self._source
-        return support.codes if keep.all() else tuple(compress(support.codes, keep.tolist()))
+        if keep.all():
+            return support.codes
+        return tuple(compress(support.codes, keep.tolist())) if keep.any() else ()
 
     @cached_property
     def entries(self) -> dict[str, float]:
@@ -683,56 +687,83 @@ def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
     return table
 
 
-def _tabulate(skel: _Skeleton, log_weight: np.ndarray) -> TruncatedLaw:
-    """The law lgw + log_weight over a shape table's rows, leaving out
-    shapes of zero mass. Each log-prob is one float add, as in a
-    row-by-row loop."""
-    log_probs = skel.lgw + log_weight
-    keep = log_probs != LOG_ZERO
-    return TruncatedLaw((skel, keep), log_probs[keep])
-
-
-def _finalize(
-    p: OffspringParams, h: int, degree_cap: int, kind: str, params: dict,
-    law: TruncatedLaw,
-) -> TruncatedLaw:
-    law.meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
-                "degree_cap": str(degree_cap), **params}
-    law.log_residual = log_sub(0.0, law_normalize_check(law))
-    return law
-
-
 @dataclass(frozen=True)
 class _Law:
-    """One ball law, read by both its family and its (h, k0) view: the log
-    width weight, the hidden-sibling series k -> log T(k) over a list of
-    widths, and its meta entries beyond eta, q, law, h and degree_cap. The
-    callables look their functions up by module name at call time, so a
-    wrapper installed on this module sees every call."""
+    """One ball law, read by its family and its (h, k0) view: the log width
+    weight of balls that show all their root subtrees, top(own, widths),
+    the table by width of a view's balls of root degree k0 given the
+    table own of the first, and its meta entries beyond eta, q, law, h and
+    degree_cap. The callables look their functions up by module name at
+    call time, so a wrapper installed on this module sees every call."""
 
     kind: str
     weight: Callable[[int], float]
     params: dict[str, str] = field(default_factory=dict)
-    sibling_sum: Callable[[list[int]], dict[int, float]] | None = None
+    top: Callable[[np.ndarray, list[int]], np.ndarray] | None = None
+
+
+def _hidden_siblings(p: OffspringParams, h: int, series) -> Callable:
+    """top for a law whose root-degree-k0 balls may hide further root
+    subtrees: F(k) = W(k) (1 + c g) + c T(k) from the own weight W and the
+    certified hidden-sibling series T = series(widths), with c = (1-q)/(eta q)
+    and g >= 0 the gap P(ball of one subtree dies by h) - P(no subtree)."""
+    def top(own: np.ndarray, widths: list[int]) -> np.ndarray:
+        t_table = series(widths)
+        log_cq = _log_fat_constant(p)
+        gap = (p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
+               if h > 1 and p.kappa > 0.0 else 0.0)
+        log_own = math.log1p(math.exp(log_cq) * gap)
+        return _weights(lambda k: log_add(own.item(k) + log_own, log_cq + t_table[k]), widths)
+    return top
 
 
 def _conditioned(p: OffspringParams, n: int, a: int, h: int) -> _Law:
     if not 1 <= h <= n:
         raise ValidationError("need 1 <= h <= n")
     return _Law("conditioned", lambda k: size_conditioning_ratio(p, n, h, k, a),
-                {"n": str(n), "a": str(a)},
-                sibling_sum=lambda ks: _sibling_sum_conditioned(p, n, a, h, ks))
+                {"n": str(n), "a": str(a)}, _hidden_siblings(
+                    p, h, lambda ks: _sibling_sum_conditioned(p, n, a, h, ks)))
 
 
 def _kesten(p: OffspringParams, h: int) -> _Law:
-    return _Law("kesten", lambda k: _log_kesten_weight(p, h, k),
-                sibling_sum=lambda ks: _sibling_sum_kesten(p, h, ks))
+    return _Law("kesten", lambda k: _log_kesten_weight(p, h, k), top=_hidden_siblings(
+        p, h, lambda ks: _sibling_sum_kesten(p, h, ks)))
 
 
 def _poisson(p: OffspringParams, h: int, theta: float) -> _Law:
     return _Law("poisson", lambda k: log_poisson_weight(p, h, k, theta),
-                {"theta": repr(float(theta))},
-                sibling_sum=lambda ks: _sibling_sum_poisson(p, h, theta, ks))
+                {"theta": repr(float(theta))}, _hidden_siblings(
+                    p, h, lambda ks: _sibling_sum_poisson(p, h, theta, ks)))
+
+
+def _tabulate(p: OffspringParams, h: int, degree_cap: int, k0: int | None, kind: str,
+              law: _Law) -> TruncatedLaw:
+    """The law over the shape table of (p, h, degree_cap, k0), complete
+    with its meta and residual: a family with k0 None, else an (h, k0)
+    view. Each row's log-prob is its ball mass plus its width weight,
+    one float add as in a row-by-row loop, and rows of zero mass are left
+    out. The rows of root degree k0 take law.top, the rest law.weight."""
+    skel = _skeleton(p, h, degree_cap, k0)
+    # every own weight before the series, so a weight's own check
+    # (Kesten: eta < 1) is the error a caller sees
+    own = _weights(law.weight, skel.widths)
+    log_weight = own[skel.width]
+    # past the cap no ball has root degree k0, and none needs the series
+    if k0 in skel.rows:
+        top = skel.width[skel.rows[k0]]
+        log_weight[skel.rows[k0]] = law.top(own, np.unique(top).tolist())[top]
+    log_probs = skel.lgw + log_weight
+    # the unmasked columns go before the mass check, so that they do not
+    # add to the peak of a build
+    del own, log_weight
+    keep = log_probs != LOG_ZERO
+    out = TruncatedLaw((skel, keep), log_probs[keep])
+    del log_probs
+    params = law.params if k0 is None else {"k0": str(k0), **law.params}
+    out.meta = {"eta": repr(p.eta), "q": repr(p.q), "law": kind, "h": str(h),
+                "degree_cap": str(degree_cap), **params}
+    out.log_residual = log_sub(0.0, law_normalize_check(out))
+    return out
 
 
 def _check_view(h: int, k0: int) -> None:
@@ -746,10 +777,7 @@ def _family(p: OffspringParams, h: int, degree_cap: int, law: _Law) -> Truncated
     degrees <= degree_cap."""
     if h < 0:
         raise ValidationError("radius must be >= 0")
-    skel = _skeleton(p, h, degree_cap, None)
-    log_weight = _weights(law.weight, skel.widths)[skel.width]
-    return _finalize(p, h, degree_cap, law.kind, law.params,
-                     _tabulate(skel, log_weight))
+    return _tabulate(p, h, degree_cap, None, law.kind, law)
 
 
 def gw_family(p: OffspringParams, h: int, degree_cap: int) -> TruncatedLaw:
@@ -785,53 +813,23 @@ def condensation_family(
     every ball with root degree exactly k0 and height <= h, dying
     truncations included: the root-degree-k0 rows of the view's table, the
     one its restricted views read. Past the cap that table has no such
-    row, and the law keeps none."""
+    row, and the law keeps none. The view always shows k0 root subtrees,
+    so every smaller root degree weighs zero."""
     _check_view(h, k0)
-    skel = _skeleton(p, h, degree_cap, k0)
-    log_weight = np.full(len(skel.lgw), LOG_ZERO)
-    if k0 in skel.rows:
-        weight = _weights(lambda k: _log_condensation_weight(p, h, k), skel.widths)
-        rows = skel.rows[k0]
-        log_weight[rows] = weight[skel.width[rows]]
-    return _finalize(p, h, degree_cap, "condensation", {"k0": str(k0)},
-                     _tabulate(skel, log_weight))
+    return _tabulate(p, h, degree_cap, k0, "condensation", _Law(
+        "condensation", lambda k: LOG_ZERO,
+        top=lambda own, ks: _weights(lambda k: _log_condensation_weight(p, h, k), ks)))
 
 
 def _restricted_family(
     p: OffspringParams, h: int, k0: int, degree_cap: int, law: _Law
 ) -> TruncatedLaw:
-    """The (h, k0)-ball law of a weighted tree.
-
-    Balls with root degree j < k0 keep all root subtrees, so their law is
-    the plain weighted one (and only full-height balls carry mass). Balls
-    with root degree exactly k0 may hide further root subtrees; their
-    weight picks up the certified sibling sum:
-
-        F(k) = W(k) (1 + c g) + c T(k),   c = (1-q)/(eta q),
-
-    with g >= 0 the gap P(ball of one subtree dies by h) - P(no subtree),
-    and T(k) the weighted hidden-sibling series.
-    """
+    """The (h, k0)-ball law of a weighted tree. Balls with root degree
+    j < k0 keep all root subtrees, so they take the law's own weight (and
+    only full-height balls carry mass); balls with root degree exactly k0
+    may hide further root subtrees, and take its top weight F."""
     _check_view(h, k0)
-    skel = _skeleton(p, h, degree_cap, k0)
-    # every width weight before the series, so a weight's own check
-    # (Kesten: eta < 1) is the error a caller sees
-    own = _weights(law.weight, skel.widths)
-    log_weight = own[skel.width]
-    # past the cap no ball has root degree k0, and none needs the series
-    if k0 in skel.rows:
-        top = skel.width[skel.rows[k0]]
-        widths = np.unique(top).tolist()
-        t_table = law.sibling_sum(widths)
-        log_cq = _log_fat_constant(p)
-        gap = (p.kappa * gamma_gap(p, 1, h) / (p.gamma * iterate(p, h).gamma_n)
-               if h > 1 and p.kappa > 0.0 else 0.0)
-        log_own = math.log1p(math.exp(log_cq) * gap)
-        fat = _weights(lambda k: log_add(own.item(k) + log_own, log_cq + t_table[k]), widths)
-        log_weight[skel.rows[k0]] = fat[top]
-    params = {"k0": str(k0), **law.params}
-    return _finalize(p, h, degree_cap, law.kind + "-restricted", params,
-                     _tabulate(skel, log_weight))
+    return _tabulate(p, h, degree_cap, k0, law.kind + "-restricted", law)
 
 
 def kesten_restricted_family(

@@ -749,6 +749,15 @@ def test_the_fat_limit_past_the_cap_shares_its_view_table():
     assert fat.log_residual == 0.0
 
 
+def test_a_law_that_keeps_no_row_builds_no_code():
+    # the (2, 5) fat limit at cap 3 keeps no row of its view's table, and
+    # reading its codes builds none of the table's code strings
+    exactlaw._skeleton.cache_clear()
+    fat = condensation_family(CRIT, 2, 5, 3)
+    assert fat.codes == ()
+    assert "codes" not in vars(fat._source[0])
+
+
 def test_the_fat_limit_past_the_cap_refuses_what_its_view_refuses():
     # (h, k0, cap) = (2, 9, 8): the view's root degrees 1 .. 8 hold more
     # balls than the enumeration cap, and the fat limit builds that table
@@ -896,6 +905,8 @@ _TABLE_CASES = [
             (lambda p=p, h=h, k0=k0, cap=cap:
              conditioned_restricted_family(p, 5, 3, h, k0, cap),
              _meta(p, h, cap, "conditioned-restricted", k0=str(k0), n="5", a="3")),
+            (lambda p=p, h=h, k0=k0, cap=cap: condensation_family(p, h, k0, cap),
+             _meta(p, h, cap, "condensation", k0=str(k0))),
         )
     ),
 ]
@@ -908,10 +919,11 @@ _TABLE_CASES = [
 )
 def test_tables_match_the_dict_tabulator_bit_for_bit(monkeypatch, build, meta):
     # the shape table a law reads goes through the dict tabulator too, with
-    # the width weights the law evaluates, in order: its own weight, then
-    # for a view the weight F of the root-degree-k0 rows; the condensation
-    # family reads those rows alone. The mass summed over the reference's
-    # values in table order is the reference residual
+    # the width weights the law evaluates, in order: its own weight first,
+    # then for a view with rows of root degree k0 its top weight over those
+    # rows (F, or the fat limit's weight, whose own weight is zero). The
+    # mass summed over the reference's values in table order is the
+    # reference residual
     tables, weights = [], []
     skeleton, tabulate_weights = exactlaw._skeleton, exactlaw._weights
 
@@ -930,14 +942,11 @@ def test_tables_match_the_dict_tabulator_bit_for_bit(monkeypatch, build, meta):
     top = meta.get("k0")
 
     def weight_of(code):
-        # a view's last weight is F; the condensation family's one weight
-        # covers its rows, all of root degree k0
+        # a view's rows of root degree k0 take its last weight, the top
         return weights[-1] if code.split(",", 1)[0] == top else weights[0]
 
     for skel in tables:
         rows = zip(skel.codes, skel.lgw.tolist(), skel.width.tolist())
-        if meta["law"] == "condensation":
-            rows = (row for row in rows if row[0].split(",", 1)[0] == top)
         entries.update(_reference_tabulate(rows, weight_of))
     residual = log_sub(0.0, log_sum(entries.values()))
     assert len(tables) <= 1
