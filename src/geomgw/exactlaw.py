@@ -539,13 +539,13 @@ class TruncatedLaw:
     a table's rows depend on (h, degree_cap, k0) alone, so two laws of one
     ball line up by their masks, with no code read. codes, the kept rows'
     text tree codes, is built on first read: the support's own tuple when
-    the mask keeps every row, () with no code built when it keeps none. entries is the code -> log probability dict
-    in code order and probs the column of probabilities (math.exp of each
-    entry); both are derived from the columns on first use and then kept.
+    the mask keeps every row, () with no code built when it keeps none.
+    entries is the code -> log probability dict in code order and probs
+    the column of probabilities (math.exp of each entry); both are derived
+    from the columns on first use and then kept.
     log_residual bounds (in log space) the mass the table does not see,
-    i.e. 1 minus the tabulated total, and meta records how the table was
-    built and rides along in the CSV header comment; the tabulator sets
-    both, and a law built by hand starts with neither.
+    i.e. 1 minus the tabulated total; a new law has none yet. meta records
+    how the table was built, and rides along in the CSV header comment.
     """
 
     def __init__(self, source: tuple, log_probs: np.ndarray) -> None:
@@ -690,9 +690,9 @@ def _weights(weight: Callable[[int], float], widths) -> np.ndarray:
 @dataclass(frozen=True)
 class _Law:
     """One ball law, read by its family and its (h, k0) view: the log width
-    weight of balls that show all their root subtrees, top(own, widths),
-    the table by width of a view's balls of root degree k0 given the
-    table own of the first, and its meta entries beyond eta, q, law, h and
+    weight of balls that show all their root subtrees; top(own, widths),
+    the table by width of a view's balls of root degree k0, given own, the
+    first weight's table; and its meta entries beyond eta, q, law, h and
     degree_cap. The callables look their functions up by module name at
     call time, so a wrapper installed on this module sees every call."""
 

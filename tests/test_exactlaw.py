@@ -741,19 +741,14 @@ def test_condensation_family_is_the_view_rows_of_root_degree_k0(p, h, k0, cap):
 
 def test_the_fat_limit_past_the_cap_shares_its_view_table():
     # no row of the (2, 5) view's table has root degree 5 at cap 3, so
-    # the fat limit keeps no row of it, and reads it all the same
+    # the fat limit keeps no row of it, and reads it all the same; its
+    # codes are empty, and reading them builds none of the table's codes
+    exactlaw._skeleton.cache_clear()
     fat = condensation_family(CRIT, 2, 5, 3)
     view = conditioned_restricted_family(CRIT, 10, 7, 2, 5, 3)
     assert fat._source[0] is view._source[0]
     assert not fat._source[1].any()
     assert fat.log_residual == 0.0
-
-
-def test_a_law_that_keeps_no_row_builds_no_code():
-    # the (2, 5) fat limit at cap 3 keeps no row of its view's table, and
-    # reading its codes builds none of the table's code strings
-    exactlaw._skeleton.cache_clear()
-    fat = condensation_family(CRIT, 2, 5, 3)
     assert fat.codes == ()
     assert "codes" not in vars(fat._source[0])
 
@@ -905,9 +900,15 @@ _TABLE_CASES = [
             (lambda p=p, h=h, k0=k0, cap=cap:
              conditioned_restricted_family(p, 5, 3, h, k0, cap),
              _meta(p, h, cap, "conditioned-restricted", k0=str(k0), n="5", a="3")),
-            (lambda p=p, h=h, k0=k0, cap=cap: condensation_family(p, h, k0, cap),
-             _meta(p, h, cap, "condensation", k0=str(k0))),
         )
+    ),
+    # the fat limit over the same views; at (2, 2, 4) it is the h = 2 case
+    # above, so that one is not listed twice
+    *(
+        (lambda p=p, h=h, k0=k0, cap=cap: condensation_family(p, h, k0, cap),
+         _meta(p, h, cap, "condensation", k0=str(k0)))
+        for p in FIXTURES
+        for h, k0, cap in ((1, 1, 4), (1, 10, 10), (1, 12, 12), (2, 5, 3))
     ),
 ]
 
