@@ -341,23 +341,29 @@ def condensation_tree_law_product(
 
 
 def _graft_table(
+    log_gh: float,
+    head: float,
     log_y: float,
     weight_log,
-    log_c0: float,
-    log_lam_hat: float,
+    c0: float,
+    lam: float,
     k_values: list[int],
 ) -> dict[int, float]:
-    """Certified evaluation of U_k = sum_i w_i sum_{K >= max(k+1, i)} C(K,i) y^K.
+    """log T(k) = head + k log gamma_h + log U_k, where
+    U_k = sum_i w_i sum_{K >= max(k+1, i)} C(K,i) y^K is certified.
 
-    weight_log(i) returns log w_i. The caller supplies the certificate
-    w_i * y^i / (1-y)^(i+1) <= C0 * lam_hat^(i-1) / (i-1)!  so the i-tail
-    is bounded by a Poisson tail; the K-tail of each inner series is
-    geometric once K is past i / (1-y). The truncation error is pushed
-    below SERIES_RTOL * min_k U_k or a TruncationError is raised.
+    weight_log(i) returns log w_i. From the law's bases c0 and lam, log C0 =
+    c0 - log gamma_h - 2 log(1-y) and log lam_hat = lam - log gamma_h -
+    log(1-y) give the certificate w_i y^i / (1-y)^(i+1) <= C0 lam_hat^(i-1)
+    / (i-1)!, so the i-tail is bounded by a Poisson tail; the K-tail of each
+    inner series is geometric once K is past i / (1-y). The truncation error
+    is pushed below SERIES_RTOL * min_k U_k or a TruncationError is raised.
     """
     y = math.exp(log_y)
+    log_c0 = c0 - log_gh - 2.0 * math.log1p(-y)
+    log_lam_hat = lam - log_gh - math.log1p(-y)
     kmax = max(k_values)
-    lam_hat = math.exp(log_lam_hat) if log_lam_hat != LOG_ZERO else 0.0
+    lam_hat = math.exp(log_lam_hat)
     i_cut = int(math.ceil(lam_hat + 10.0 * math.sqrt(lam_hat + 1.0))) + 32
     ks = np.asarray(k_values, dtype=np.int64)
     for attempt in range(7):
@@ -392,7 +398,7 @@ def _graft_table(
         if log_err == LOG_ZERO or (
             floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
         ):
-            return {k: float(v) for k, v in zip(k_values, log_u)}
+            return {k: head + k * log_gh + float(v) for k, v in zip(k_values, log_u)}
         i_cut *= 2
     raise TruncationError(
         "sibling series not certified to requested accuracy "
@@ -412,23 +418,18 @@ def _sibling_sum_poisson(
     log_a = it_h.log_gap_product - log_gh
     lam = theta * _mixing_base(p, h)
     log_head = -h * math.log(ext.mean) - theta * cumulative_immigration(p, h)
-    log_y = math.log(c) - log_gh
-    y = math.exp(log_y)
     log_lam = math.log(lam) if lam > 0.0 else LOG_ZERO
     log_c = math.log(c)
 
     def weight_log(i: int) -> float:
-        if lam == 0.0 and i > 1:
-            return LOG_ZERO
         t = -i * log_c - gammaln(i)
         if i > 1:
             t += (i - 1) * log_lam
         return t
 
-    log_c0 = -log_gh - 2.0 * math.log1p(-y)
-    log_lam_hat = (log_lam - log_gh - math.log1p(-y)) if lam > 0.0 else LOG_ZERO
-    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values)
-    return {k: log_head + log_a + k * log_gh + u for k, u in table.items()}
+    return _graft_table(
+        log_gh, log_head + log_a, log_c - log_gh, weight_log, 0.0, log_lam, k_values
+    )
 
 
 def _sibling_sum_conditioned(
@@ -451,6 +452,7 @@ def _sibling_sum_conditioned(
         return out
     it_n = iterate(p, n)
     it_m = iterate(p, m)
+    log_gm = it_m.log_gamma
     kappa = p.kappa
     log_beta = it_m.log_gap_product
     log_b = a * log_gamma_ratio(p, n, m)
@@ -459,7 +461,7 @@ def _sibling_sum_conditioned(
         # only the all-alive term of the weight survives; the hidden-sibling
         # sum is finite (binomial cut at a) with a decreasing term ratio
         out = {}
-        log_x = log_beta - it_m.log_gamma - log_gh
+        log_x = log_beta - log_gm - log_gh
         x = math.exp(log_x)
         for k in k_values:
             terms = []
@@ -480,29 +482,17 @@ def _sibling_sum_conditioned(
                 kk += 1
             out[k] = (log_head + k * log_gh + log_sum(terms)) if terms else LOG_ZERO
         return out
-    log_y = math.log(kappa) - it_m.log_gamma - log_gh
-    y = math.exp(log_y)
     log_w_base = log_beta - math.log(kappa)
 
     def weight_log(i: int) -> float:
-        lb = log_binomial(a - 1, i - 1)
-        if lb == LOG_ZERO:
-            return LOG_ZERO
-        return lb + i * log_w_base
+        return log_binomial(a - 1, i - 1) + i * log_w_base
 
-    log_c0 = log_beta - it_m.log_gamma - log_gh - 2.0 * math.log1p(-y)
-    if a > 1:
-        log_lam_hat = (
-            math.log(a - 1.0)
-            + log_beta
-            - it_m.log_gamma
-            - log_gh
-            - math.log1p(-y)
-        )
-    else:
-        log_lam_hat = LOG_ZERO
-    table = _graft_table(log_y, weight_log, log_c0, log_lam_hat, k_values)
-    return {k: log_head + k * log_gh + u for k, u in table.items()}
+    log_a1 = math.log(a - 1.0) if a > 1 else LOG_ZERO
+    log_y = math.log(kappa) - log_gm - log_gh
+    return _graft_table(
+        log_gh, log_head, log_y, weight_log, log_beta - log_gm,
+        log_a1 + log_beta - log_gm, k_values,
+    )
 
 
 def _sibling_sum_kesten(

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -546,9 +547,10 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
 
     monkeypatch.setattr(exactlaw, "_graft_table", recording)
     exactlaw._sibling_sum_conditioned(CRIT, n, a, 2, [1, 40])
-    log_y, weight_log, _, log_lam_hat, k_values = seen["args"]
-    got = seen["table"]
-    lam_hat = math.exp(log_lam_hat)
+    log_gh, head, log_y, weight_log, _, lam, k_values = seen["args"]
+    # the table returns log T(k) = head + k log gamma_h + log U_k
+    got = {k: t - head - k * log_gh for k, t in seen["table"].items()}
+    lam_hat = math.exp(lam - log_gh - math.log1p(-math.exp(log_y)))
     i_max = int(lam_hat + 20.0 * math.sqrt(lam_hat + 1.0)) + 100
     with mpmath.workdps(30):
         y = mpmath.exp(log_y)
@@ -560,6 +562,46 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
                 s = (mpmath.binomial(m, i) * y**m + y * s) / (1 - y)
                 u += mpmath.exp(weight_log(i)) * s
             assert abs(got[k] - float(mpmath.log(u))) <= 1e-11, (n, k)
+
+
+def test_sibling_series_certificate_bounds_every_weight(monkeypatch):
+    # the i-tail is bounded by a Poisson tail only if
+    # w_i y^i / (1-y)^(i+1) <= C0 lam_hat^(i-1) / (i-1)! for every i. The
+    # table passes its own log lam_hat to log_poisson_tail, whose caller
+    # frame holds the table's log C0, y and weights; the spy reads them
+    # there and stops the table. The Poisson bound holds with equality
+    class Read(Exception):
+        pass
+
+    seen = []
+
+    def reading(log_lam_hat, i_cut):
+        f = sys._getframe(1).f_locals
+        seen.append((f["y"], f["weight_log"], f["log_c0"], log_lam_hat))
+        raise Read
+
+    monkeypatch.setattr(exactlaw, "log_poisson_tail", reading)
+    series = [
+        functools.partial(exactlaw._sibling_sum_poisson, theta=theta)
+        for theta in (0.5, 5.0, 30.0)
+    ] + [
+        lambda p, h, k_values, n=n, a=a: exactlaw._sibling_sum_conditioned(
+            p, n, a, h, k_values
+        )
+        for n, a in [(10, 3), (50, 125_000), (390, 59_319_000)]
+    ]
+    for p in FIXTURES:
+        for h in (1, 2, 3):
+            for s in series:
+                with pytest.raises(Read):
+                    s(p, h, k_values=[1])
+    assert len(seen) == 54
+    for y, weight_log, log_c0, log_lam_hat in seen:
+        log_y, log_1my = math.log(y), math.log1p(-y)
+        for i in range(1, 2001):
+            lhs = weight_log(i) + i * log_y - (i + 1) * log_1my
+            rhs = log_c0 + (i - 1) * log_lam_hat - math.lgamma(i)
+            assert lhs <= rhs + 1e-9, (i, lhs - rhs)
 
 
 @pytest.mark.parametrize("theta,passes", [(0.5, 3), (5.0, 2)])
@@ -681,6 +723,27 @@ def test_eta_one_conditioned_restricted_tables_build():
                 law = conditioned_restricted_family(PURE, 5, 3, h, k0, cap)
                 assert law.entries
                 assert math.exp(law.log_total()) <= 1.0
+
+
+def test_eta_one_conditioned_restricted_view_matches_the_double_loop():
+    # without extinction (kappa = 0, m = n - h > 0) the sibling series is
+    # the finite binomial sum; hold every entry to the slow double loop
+    for q in (0.3, 0.5, 0.7):
+        p = OffspringParams(1.0, q)
+        for n, a, h, k0, cap in [
+            (5, 3, 2, 2, 3), (7, 9, 2, 2, 4), (6, 20, 2, 1, 4),
+            (4, 6, 2, 3, 3), (8, 30, 3, 1, 2),
+        ]:
+            law = conditioned_restricted_family(p, n, a, h, k0, cap)
+            assert law.entries
+            table = oracle.hidden_forest_table(p, h, a, a)
+            weights = oracle.conditioned_weight_vector(
+                p, n, a, h, k0 * cap ** (h - 1) + a
+            )
+            for code, logp in law.entries.items():
+                t = OrderedTree.decode(code)
+                direct = oracle.restricted_entry_direct(p, h, k0, t, weights, table)
+                assert math.exp(logp) == pytest.approx(direct, rel=1e-8), (q, n, code)
 
 
 def test_unrestricted_families_share_one_skeleton():
