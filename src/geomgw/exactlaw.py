@@ -35,6 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, product, zip_longest
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .errors import CertificationError, TruncationError, ValidationError
@@ -340,6 +341,61 @@ def condensation_tree_law_product(
 # ---------------------------------------------------------------------------
 
 
+# term-table elements _chain_sums builds at a time (512 KiB of float64)
+_CHAIN_BLOCK = 1 << 16
+
+
+def _chain_sums(
+    log_fact: np.ndarray,
+    k_log_y: np.ndarray,
+    cols: list[int],
+    lws: list[float],
+    k_values: list[int],
+) -> np.ndarray:
+    """log U_k = log sum_i w_i S_i(max(k+1, i)) for each k of k_values, where
+    S_i(L) = sum_{K=L}^{k_cut} C(K, i) y^K.
+
+    log_fact[K] = log K! and k_log_y[K] = K log y for K = 0 .. k_cut + 1;
+    cols lists the terms i in ascending order and lws their log w_i. One
+    array carries every chain S_i, and each row K of log C(K, i) y^K =
+    ((log K! - log i!) - log (K-i)!) + K log y, from K = k_cut down, is
+    added to it by one elementwise logaddexp. log (K-i)! is read from
+    log_fact reversed and padded with +inf, so K < i adds -inf, which
+    leaves a chain as it is. Each chain thus makes the calls of a 1-D
+    accumulate of its own terms, in the same order, without waiting on
+    the others. U_k is folded over ascending i once row k + 1 is in.
+    Rows are built _CHAIN_BLOCK elements at a time, whatever the widths.
+    """
+    k_cut = len(log_fact) - 2
+    n = cols[-1]
+    idx = np.asarray(cols) - 1
+    lws = np.asarray(lws)
+    chains = np.full(n, LOG_ZERO)
+    # rev[j] = log (k_cut + 1 - j)!, and +inf where k_cut + 1 - j < 0
+    rev = np.concatenate((log_fact[::-1], np.full(n, np.inf)))
+    reads = sorted(set(k_values))
+    log_u = {}
+    hi = k_cut
+    while reads:
+        # chains i > hi see only -inf in rows K <= hi and stay as they are
+        width = min(n, hi)
+        lo = max(reads[0] + 1, hi + 1 - max(1, _CHAIN_BLOCK // width))
+        # rows K = hi .. lo: terms[r, c] reads log (hi - r - c - 1)! at
+        # rev[k_cut + 2 - hi + r + c]
+        start = k_cut + 2 - hi
+        terms = np.subtract.outer(log_fact[lo : hi + 1][::-1], log_fact[1 : width + 1])
+        terms -= sliding_window_view(rev[start : start + hi - lo + width], width)
+        terms += k_log_y[lo : hi + 1][::-1, None]
+        live = chains[:width]
+        for k_row, row in zip(range(hi, lo - 1, -1), terms):
+            np.logaddexp(live, row, out=live)
+            if k_row == reads[-1] + 1:
+                fold = np.concatenate(([LOG_ZERO], lws + chains[idx]))
+                log_u[reads.pop()] = np.logaddexp.accumulate(fold)[-1]
+        hi = lo - 1
+    return np.array([log_u[k] for k in k_values])
+
+
 def _graft_table(
     log_gh: float,
     head: float,
@@ -358,6 +414,7 @@ def _graft_table(
     / (i-1)!, so the i-tail is bounded by a Poisson tail; the K-tail of each
     inner series is geometric once K is past i / (1-y). The truncation error
     is pushed below SERIES_RTOL * min_k U_k or a TruncationError is raised.
+    Each pass sums its inner series side by side in _chain_sums.
     """
     y = math.exp(log_y)
     log_c0 = c0 - log_gh - 2.0 * math.log1p(-y)
@@ -365,40 +422,45 @@ def _graft_table(
     kmax = max(k_values)
     lam_hat = math.exp(log_lam_hat)
     i_cut = int(math.ceil(lam_hat + 10.0 * math.sqrt(lam_hat + 1.0))) + 32
-    ks = np.asarray(k_values, dtype=np.int64)
     for attempt in range(7):
         k_cut = max(kmax + 2, int(math.ceil(1.5 * i_cut / (1.0 - y))) + 16)
         # at most six passes; the term caps refuse a pass before its arrays
         # are sized, and the error names the cuts of the refused pass
         if attempt == 6 or i_cut > 200_000 or k_cut > 1_000_000:
             break
-        log_u = np.full(len(k_values), LOG_ZERO)
         log_err = log_c0 + log_poisson_tail(log_lam_hat, i_cut)
         # one term table per pass: log K! and K log y for K = 0 .. k_cut + 1
         kk = np.arange(k_cut + 2, dtype=np.float64)
         log_fact = gammaln(kk + 1.0)
         k_log_y = kk * log_y
+        cols, lws = [], []
         for i in range(1, i_cut + 1):
             lw = weight_log(i)
             if lw == LOG_ZERO:
                 continue
-            # log C(K, i) y^K for K = i .. k_cut + 1; the last is the first
-            # term of the truncated K-tail
-            lt = log_fact[i:] - log_fact[i] - log_fact[: k_cut + 2 - i] + k_log_y[i:]
-            suffix = np.logaddexp.accumulate(lt[-2::-1])[::-1]
-            idx = np.maximum(ks + 1, i) - i
-            log_u = np.logaddexp(log_u, lw + suffix[idx])
-            # geometric bound on the truncated K-tail of this i
+            cols.append(i)
+            lws.append(lw)
+            # geometric bound on the truncated K-tail of this i, whose
+            # first term is log C(k_cut + 1, i) y^(k_cut + 1)
             r = y * (k_cut + 2.0) / (k_cut + 2.0 - i)
             if r >= 1.0:
                 log_err = math.inf
                 break
-            log_err = log_add(log_err, lw + float(lt[-1]) - math.log1p(-r))
-        floor = float(np.min(log_u))
-        if log_err == LOG_ZERO or (
-            floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
-        ):
-            return {k: head + k * log_gh + float(v) for k, v in zip(k_values, log_u)}
+            first = (
+                log_fact[k_cut + 1] - log_fact[i] - log_fact[k_cut + 1 - i]
+                + k_log_y[k_cut + 1]
+            )
+            log_err = log_add(log_err, lw + float(first) - math.log1p(-r))
+        # a pass whose K-tail bound broke down cannot be certified
+        if log_err != math.inf:
+            log_u = _chain_sums(log_fact, k_log_y, cols, lws, k_values)
+            floor = float(np.min(log_u))
+            if log_err == LOG_ZERO or (
+                floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
+            ):
+                return {
+                    k: head + k * log_gh + float(v) for k, v in zip(k_values, log_u)
+                }
         i_cut *= 2
     raise TruncationError(
         "sibling series not certified to requested accuracy "

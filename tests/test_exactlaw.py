@@ -6,6 +6,7 @@ import math
 import operator
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -620,6 +621,64 @@ def test_sibling_series_retries_with_a_doubled_cut(monkeypatch, theta, passes):
             for j in range(1, 400)
         ])
         assert abs(math.expm1(got[k] - ref)) <= 1e-8, k
+
+
+def accumulate_chain_sums(log_fact, k_log_y, cols, lws, k_values):
+    """The pass _chain_sums replaced: one 1-D logaddexp accumulate per term
+    i over K = k_cut .. i, read at max(k + 1, i) and folded into log U_k."""
+    k_cut = len(log_fact) - 2
+    ks = np.asarray(k_values, dtype=np.int64)
+    log_u = np.full(len(k_values), -math.inf)
+    for i, lw in zip(cols, lws):
+        lt = log_fact[i:] - log_fact[i] - log_fact[: k_cut + 2 - i] + k_log_y[i:]
+        suffix = np.logaddexp.accumulate(lt[-2::-1])[::-1]
+        log_u = np.logaddexp(log_u, lw + suffix[np.maximum(ks + 1, i) - i])
+    return log_u
+
+
+def test_chain_sums_match_the_per_term_accumulate_bit_for_bit(monkeypatch):
+    # every pass of both series, the doubled-cut passes of the retry test
+    # included, against one accumulate per term i. Theta 0 leaves only the
+    # term i = 1 of the skinny weights; (10, 3) only i <= 3 of the
+    # conditioned ones. The widths put k + 1 below i, past i_cut (the
+    # cut is at least 42) and alone
+    calls = []
+    chain_sums = exactlaw._chain_sums
+
+    def recording(*args):
+        calls.append((args, chain_sums(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(exactlaw, "_chain_sums", recording)
+    for p in FIXTURES:
+        for h in (1, 2, 3):
+            for ks in ([0, 1, 5, 60], [7]):
+                for theta in (0.0, 0.5, 30.0):
+                    exactlaw._sibling_sum_poisson(p, h, theta, ks)
+                for n, a in [(10, 3), (50, 125_000), (390, 59_319_000)]:
+                    exactlaw._sibling_sum_conditioned(p, n, a, h, ks)
+    for theta in (0.5, 5.0):
+        exactlaw._sibling_sum_poisson(CRIT, 2, theta, [1, 500])
+    assert len(calls) == 3 * 3 * 2 * 6 + 3 + 2
+    assert any(len(args[2]) == 1 for args, _ in calls)
+    assert any(len(args[2]) == 3 for args, _ in calls)
+    for args, got in calls:
+        ref = accumulate_chain_sums(*args)
+        assert [v.hex() for v in got] == [v.hex() for v in ref], args[2][-1]
+
+
+def test_chain_sums_memory_does_not_grow_with_the_widths():
+    # the chains are one array and the term rows come in fixed blocks, so
+    # 2,000 widths of the largest series-grid row stay within a fixed 4 MB
+    # (about 1.7 MB); one saved chain row per width would hold 37 MB
+    exactlaw._sibling_sum_conditioned(CRIT, 390, 59_319_000, 2, [1])
+    tracemalloc.start()
+    try:
+        exactlaw._sibling_sum_conditioned(CRIT, 390, 59_319_000, 2, list(range(2000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 @pytest.mark.parametrize(
