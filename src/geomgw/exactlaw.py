@@ -451,16 +451,12 @@ def _graft_table(
                 + k_log_y[k_cut + 1]
             )
             log_err = log_add(log_err, lw + float(first) - math.log1p(-r))
-        # a pass whose K-tail bound broke down cannot be certified
-        if log_err != math.inf:
-            log_u = _chain_sums(log_fact, k_log_y, cols, lws, k_values)
-            floor = float(np.min(log_u))
-            if log_err == LOG_ZERO or (
-                floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
-            ):
-                return {
-                    k: head + k * log_gh + float(v) for k, v in zip(k_values, log_u)
-                }
+        log_u = _chain_sums(log_fact, k_log_y, cols, lws, k_values)
+        floor = float(np.min(log_u))
+        if log_err == LOG_ZERO or (
+            floor != LOG_ZERO and log_err <= math.log(SERIES_RTOL) + floor
+        ):
+            return {k: head + k * log_gh + float(v) for k, v in zip(k_values, log_u)}
         i_cut *= 2
     raise TruncationError(
         "sibling series not certified to requested accuracy "

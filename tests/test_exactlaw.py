@@ -670,7 +670,7 @@ def test_chain_sums_match_the_per_term_accumulate_bit_for_bit(monkeypatch):
 def test_chain_sums_memory_does_not_grow_with_the_widths():
     # the chains are one array and the term rows come in fixed blocks, so
     # 2,000 widths of the largest series-grid row stay within a fixed 4 MB
-    # (about 1.7 MB); one saved chain row per width would hold 37 MB
+    # (about 1.7 MB)
     exactlaw._sibling_sum_conditioned(CRIT, 390, 59_319_000, 2, [1])
     tracemalloc.start()
     try:
