@@ -43,6 +43,7 @@ from .logspace import (
     LOG_ZERO,
     log_add,
     log_binomial,
+    log_binomial_row,
     log_poisson_tail,
     log_sub,
     log_sum,
@@ -109,16 +110,25 @@ def _log_alive_sum(
     p: OffspringParams, k: int, a: int, log_gaps: float, base: float
 ) -> float:
     """log of sum_i C(k,i) C(a-1,i-1) kappa^(k-i) exp(i log_gaps + base)
-    over the number i of the k root trees still alive, 1 <= i <= min(k, a)."""
+    over the number i of the k root trees still alive, 1 <= i <= min(k, a).
+
+    One array pass over cached binomial rows; each term is
+    ((log C(k,i) + log C(a-1,i-1)) + i log_gaps) + base, plus
+    (k-i) log kappa for i < k, the operations of a loop over i in its
+    order. With kappa = 0 no root tree dies, so only i = k is left."""
     kappa = p.kappa
-    terms = []
-    for i in range(1, min(k, a) + 1):
-        if kappa == 0.0 and i < k:
-            continue
-        t = log_binomial(k, i) + log_binomial(a - 1, i - 1) + i * log_gaps + base
-        if i < k:
-            t += (k - i) * math.log(kappa)
-        terms.append(t)
+    m = min(k, a)
+    lo = k if kappa == 0.0 else 1
+    if lo > m:
+        return LOG_ZERO
+    i = np.arange(lo, m + 1.0)
+    terms = (
+        log_binomial_row(k, m + 1)[lo:] + log_binomial_row(a - 1, m)[lo - 1 :]
+        + i * log_gaps + base
+    )
+    dead = min(m, k - 1) - lo + 1
+    if dead > 0:
+        terms[:dead] += (k - i[:dead]) * math.log(kappa)
     return log_sum(terms)
 
 
@@ -256,18 +266,19 @@ def log_poisson_weight(p: OffspringParams, h: int, k: int, theta: float) -> floa
     c = min(p.kappa, 1.0)
     dual_mean = min(mu, 1.0 / mu)
     lam = theta * _mixing_base(p, h)
-    terms = []
-    for i in range(1, k + 1):
-        if c == 0.0 and i < k:
-            continue
-        if lam == 0.0 and i > 1:
-            break
-        t = log_binomial(k, i) - gammaln(i)
-        if i < k:
-            t += (k - i) * math.log(c)
-        if i > 1:
-            t += (i - 1) * math.log(lam)
-        terms.append(t)
+    # the terms i = lo .. hi of (log C(k,i) - log (i-1)!) + (k-i) log c
+    # [i < k] + (i-1) log lam [i > 1]: with c = 0 only i = k is left, with
+    # lam = 0 only i = 1
+    lo = k if c == 0.0 else 1
+    hi = 1 if lam == 0.0 else k
+    i = np.arange(lo, hi + 1.0)
+    terms = log_binomial_row(k, hi + 1)[lo:] - gammaln(i)
+    dead = min(hi, k - 1) - lo + 1  # the terms i < k
+    if dead > 0:
+        terms[:dead] += (k - i[:dead]) * math.log(c)
+    if hi > 1:
+        two = max(2 - lo, 0)  # the first term i > 1
+        terms[two:] += (i[two:] - 1) * math.log(lam)
     return (
         -h * math.log(dual_mean)
         - theta * cumulative_immigration(p, h)
@@ -343,6 +354,11 @@ def condensation_tree_law_product(
 
 # term-table elements _chain_sums builds at a time (512 KiB of float64)
 _CHAIN_BLOCK = 1 << 16
+# the most chain terms i_cut * k_cut one pass of _graft_table takes on,
+# about a second of _chain_sums; the largest pass of the bundled configs
+# is 1,349 * 4,063 and the largest of the tests 2,480 * 11,176. As k_cut
+# >= 1.5 i_cut, it also keeps i_cut below 8,200
+_PASS_TERMS = 100_000_000
 
 
 def _chain_sums(
@@ -408,13 +424,15 @@ def _graft_table(
     """log T(k) = head + k log gamma_h + log U_k, where
     U_k = sum_i w_i sum_{K >= max(k+1, i)} C(K,i) y^K is certified.
 
-    weight_log(i) returns log w_i. From the law's bases c0 and lam, log C0 =
+    weight_log(n) returns log w_i for i = 1 .. n as an array. From the
+    law's bases c0 and lam, log C0 =
     c0 - log gamma_h - 2 log(1-y) and log lam_hat = lam - log gamma_h -
     log(1-y) give the certificate w_i y^i / (1-y)^(i+1) <= C0 lam_hat^(i-1)
     / (i-1)!, so the i-tail is bounded by a Poisson tail; the K-tail of each
     inner series is geometric once K is past i / (1-y). The truncation error
     is pushed below SERIES_RTOL * min_k U_k or a TruncationError is raised.
-    Each pass sums its inner series side by side in _chain_sums.
+    Each pass sums its inner series side by side in _chain_sums, and a pass
+    of more than _PASS_TERMS terms i_cut * k_cut is refused before it runs.
     """
     y = math.exp(log_y)
     log_c0 = c0 - log_gh - 2.0 * math.log1p(-y)
@@ -426,7 +444,7 @@ def _graft_table(
         k_cut = max(kmax + 2, int(math.ceil(1.5 * i_cut / (1.0 - y))) + 16)
         # at most six passes; the term caps refuse a pass before its arrays
         # are sized, and the error names the cuts of the refused pass
-        if attempt == 6 or i_cut > 200_000 or k_cut > 1_000_000:
+        if attempt == 6 or k_cut > 1_000_000 or i_cut * k_cut > _PASS_TERMS:
             break
         log_err = log_c0 + log_poisson_tail(log_lam_hat, i_cut)
         # one term table per pass: log K! and K log y for K = 0 .. k_cut + 1
@@ -434,8 +452,7 @@ def _graft_table(
         log_fact = gammaln(kk + 1.0)
         k_log_y = kk * log_y
         cols, lws = [], []
-        for i in range(1, i_cut + 1):
-            lw = weight_log(i)
+        for i, lw in enumerate(weight_log(i_cut).tolist(), 1):
             if lw == LOG_ZERO:
                 continue
             cols.append(i)
@@ -479,10 +496,11 @@ def _sibling_sum_poisson(
     log_lam = math.log(lam) if lam > 0.0 else LOG_ZERO
     log_c = math.log(c)
 
-    def weight_log(i: int) -> float:
+    def weight_log(n: int) -> np.ndarray:
+        # -i log c - log (i-1)!, plus (i-1) log lam for i > 1
+        i = np.arange(1.0, n + 1)
         t = -i * log_c - gammaln(i)
-        if i > 1:
-            t += (i - 1) * log_lam
+        t[1:] += (i[1:] - 1) * log_lam
         return t
 
     return _graft_table(
@@ -542,8 +560,8 @@ def _sibling_sum_conditioned(
         return out
     log_w_base = log_beta - math.log(kappa)
 
-    def weight_log(i: int) -> float:
-        return log_binomial(a - 1, i - 1) + i * log_w_base
+    def weight_log(n: int) -> np.ndarray:
+        return log_binomial_row(a - 1, n) + np.arange(1.0, n + 1) * log_w_base
 
     log_a1 = math.log(a - 1.0) if a > 1 else LOG_ZERO
     log_y = math.log(kappa) - log_gm - log_gh

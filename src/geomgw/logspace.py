@@ -10,6 +10,7 @@ a tree.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -82,6 +83,35 @@ def log_binomial(n: float, k: float) -> float:
     if n >= 1e6:
         return float(-math.log(n + 1.0) - betaln(n - k + 1.0, k + 1.0))
     return float(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+
+
+def log_binomial_row(n: int, m: int) -> np.ndarray:
+    """log C(n, j) for j = 0 .. m-1 as a read-only float64 array, each
+    entry bit for bit log_binomial(n, j): the same gammaln or betaln
+    operations, elementwise, with the same switch at n >= 1e6, 0.0 at
+    j = 0 and j = n and -inf past n.
+
+    The row is a prefix of a cached one whose length is the power of two
+    at or above m (at least 32), so the widths of one conditioning target
+    share a few rows. The cache keeps the 512 rows last read; a row of
+    length L takes 8 L bytes.
+    """
+    return _binomial_row(n, 1 << max(5, (int(m) - 1).bit_length()))[:m]
+
+
+@lru_cache(maxsize=512)
+def _binomial_row(n: int, size: int) -> np.ndarray:
+    row = np.full(size, LOG_ZERO)
+    j = np.arange(1.0, min(n, size))
+    if n >= 1e6:
+        row[1 : len(j) + 1] = -math.log(n + 1.0) - betaln(n - j + 1.0, j + 1.0)
+    else:
+        row[1 : len(j) + 1] = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+    row[0] = 0.0
+    if n < size:
+        row[n] = 0.0
+    row.flags.writeable = False
+    return row
 
 
 def log_poisson_tail(log_lam: float, i: int) -> float:

@@ -291,8 +291,9 @@ def test_law_argument_contract(capsys, regime, extra, fragment):
 
 
 def test_uncertified_series_exits_2(tmp_path, capsys):
-    # at theta 1e6 the sibling series' first i-cut, 2,014,175 terms, is past
-    # its 200,000 limit: a numeric failure, not bad input, and no output
+    # at theta 1e6 the sibling series' first pass, 2,014,175 terms i by
+    # 9,063,804 rows K, is past its term limit: a numeric failure, not bad
+    # input, and no output
     dest = tmp_path / "law.csv"
     code, out, err = run(
         capsys, "law", "--regime", "poisson", "--theta", "1e6", "--k0", "2",

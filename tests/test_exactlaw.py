@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from geomgw import (
     CertificationError,
@@ -43,9 +44,9 @@ from geomgw import (
     poisson_tree_law,
     size_conditioning_ratio,
 )
-from geomgw import exactlaw, oracle
+from geomgw import exactlaw, logspace, oracle
 from geomgw.exactlaw import law_normalize_check
-from geomgw.logspace import log_sub, log_sum
+from geomgw.logspace import log_binomial, log_sub, log_sum
 from geomgw.treekit import MAX_TREES
 
 CRIT = OffspringParams(0.5, 0.5)
@@ -553,6 +554,7 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
     got = {k: t - head - k * log_gh for k, t in seen["table"].items()}
     lam_hat = math.exp(lam - log_gh - math.log1p(-math.exp(log_y)))
     i_max = int(lam_hat + 20.0 * math.sqrt(lam_hat + 1.0)) + 100
+    lws = weight_log(i_max)
     with mpmath.workdps(30):
         y = mpmath.exp(log_y)
         for k in k_values:
@@ -561,7 +563,7 @@ def test_sibling_series_matches_an_exact_recurrence(monkeypatch, n, a):
             u = mpmath.mpf(0)
             for i in range(1, i_max + 1):
                 s = (mpmath.binomial(m, i) * y**m + y * s) / (1 - y)
-                u += mpmath.exp(weight_log(i)) * s
+                u += mpmath.exp(lws[i - 1]) * s
             assert abs(got[k] - float(mpmath.log(u))) <= 1e-11, (n, k)
 
 
@@ -593,8 +595,9 @@ def test_sibling_series_certificate_bounds_every_weight(monkeypatch):
     assert len(seen) == 54
     for y, weight_log, log_c0, log_lam_hat in seen:
         log_y, log_1my = math.log(y), math.log1p(-y)
+        lws = weight_log(2000)
         for i in range(1, 2001):
-            lhs = weight_log(i) + i * log_y - (i + 1) * log_1my
+            lhs = lws[i - 1] + i * log_y - (i + 1) * log_1my
             rhs = log_c0 + (i - 1) * log_lam_hat - math.lgamma(i)
             assert lhs <= rhs + 1e-9, (i, lhs - rhs)
 
@@ -679,6 +682,139 @@ def test_chain_sums_memory_does_not_grow_with_the_widths():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def test_sibling_series_refuses_a_pass_of_too_many_terms():
+    # theta 1000 at h = 5 starts at i_cut = 38,182 and k_cut = 151,767,
+    # inside both cut caps: a first pass of 5.8e9 chain terms
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="i_cut=.*k_cut="):
+        exactlaw._sibling_sum_poisson(OffspringParams(0.5, 0.2), 5, 1000.0, list(range(122)))
+    assert time.perf_counter() - start < 2.0
+
+
+def loop_alive_sum(p, k, a, log_gaps, base):
+    """The sum _log_alive_sum replaced: two scalar log_binomial calls per
+    term i."""
+    kappa = p.kappa
+    terms = []
+    for i in range(1, min(k, a) + 1):
+        if kappa == 0.0 and i < k:
+            continue
+        t = log_binomial(k, i) + log_binomial(a - 1, i - 1) + i * log_gaps + base
+        if i < k:
+            t += (k - i) * math.log(kappa)
+        terms.append(t)
+    return log_sum(terms)
+
+
+def loop_poisson_weight(p, h, k, theta):
+    """The sum log_poisson_weight replaced, one log_binomial per term i."""
+    mu = p.mean
+    c = min(p.kappa, 1.0)
+    lam = theta * exactlaw._mixing_base(p, h)
+    terms = []
+    for i in range(1, k + 1):
+        if c == 0.0 and i < k:
+            continue
+        if lam == 0.0 and i > 1:
+            break
+        t = log_binomial(k, i) - gammaln(i)
+        if i < k:
+            t += (k - i) * math.log(c)
+        if i > 1:
+            t += (i - 1) * math.log(lam)
+        terms.append(t)
+    return (
+        -h * math.log(min(mu, 1.0 / mu))
+        - theta * exactlaw.cumulative_immigration(p, h)
+        + log_sum(terms)
+    )
+
+
+WIDTH_GRID = [1, 2, 3, 7, 40, 129, 1000]
+
+
+def test_alive_sum_matches_the_scalar_loop_bit_for_bit():
+    # kappa = 0 (eta 1), a = 1, widths below, at and above a, and a - 1 on
+    # both sides of the betaln switch at 1e6; the gaps of a short and of a
+    # long generation, with and without a base
+    for p in (*FIXTURES, PURE):
+        for n in (3, 388):
+            log_gaps = iterate(p, n).log_gap_product
+            for a in (1, 2, 7, 40, 1_000_000, 1_000_001, 59_319_000):
+                for k in WIDTH_GRID:
+                    for base in (0.0, -3.75):
+                        got = exactlaw._log_alive_sum(p, k, a, log_gaps, base)
+                        want = loop_alive_sum(p, k, a, log_gaps, base)
+                        assert got.hex() == want.hex(), (p, n, a, k, base)
+
+
+def test_poisson_weight_matches_the_scalar_loop_bit_for_bit():
+    # theta 0 leaves only i = 1; eta 1 (c = 0) only i = k, and both
+    # together nothing past k = 1
+    for p in (*FIXTURES, PURE):
+        for h in (1, 2, 3):
+            for theta in (0.0, 0.5, 30.0):
+                for k in WIDTH_GRID:
+                    got = log_poisson_weight(p, h, k, theta)
+                    want = loop_poisson_weight(p, h, k, theta)
+                    assert got.hex() == want.hex(), (p, h, theta, k)
+
+
+def test_series_weights_match_their_scalar_terms_bit_for_bit(monkeypatch):
+    # every pass's weights up to its i_cut: the conditioned ones against
+    # log C(a-1, i-1) + i log w_base, the skinny ones against
+    # -i log c - log (i-1)! + (i-1) log lam
+    passes = []
+    tail = exactlaw.log_poisson_tail
+
+    def reading(log_lam_hat, i_cut):
+        passes.append((sys._getframe(1).f_locals["weight_log"], i_cut))
+        return tail(log_lam_hat, i_cut)
+
+    monkeypatch.setattr(exactlaw, "log_poisson_tail", reading)
+    for p in FIXTURES:
+        log_c = math.log(extinction_params(p).extinction_prob)
+        for h in (1, 2, 3):
+            for n, a in [(10, 3), (50, 125_000), (390, 59_319_000)]:
+                del passes[:]
+                exactlaw._sibling_sum_conditioned(p, n, a, h, [1, 40])
+                log_w_base = iterate(p, n - h).log_gap_product - math.log(p.kappa)
+                for weight_log, i_cut in passes:
+                    want = [log_binomial(a - 1, i - 1) + i * log_w_base
+                            for i in range(1, i_cut + 1)]
+                    assert [v.hex() for v in weight_log(i_cut)] == [v.hex() for v in want]
+            for theta in (0.0, 0.5, 30.0):
+                del passes[:]
+                exactlaw._sibling_sum_poisson(p, h, theta, [1, 40])
+                lam = theta * exactlaw._mixing_base(p, h)
+                log_lam = math.log(lam) if lam > 0.0 else -math.inf
+                for weight_log, i_cut in passes:
+                    want = []
+                    for i in range(1, i_cut + 1):
+                        t = -i * log_c - gammaln(i)
+                        if i > 1:
+                            t += (i - 1) * log_lam
+                        want.append(t)
+                    assert [v.hex() for v in weight_log(i_cut)] == [v.hex() for v in want]
+
+
+def test_alive_sum_rows_stay_within_the_cache_bound():
+    # 2,000 widths at the largest series-grid target read rows of up to
+    # 2,048 entries; the row cache keeps 512 of them (8.4 MB), where
+    # keeping every row would take about 22 MB
+    log_gaps = iterate(CRIT, 388).log_gap_product
+    logspace._binomial_row.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(1, 2001):
+            exactlaw._log_alive_sum(CRIT, k, 59_319_000, log_gaps, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        logspace._binomial_row.cache_clear()
+    assert peak < 10_000_000, peak
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from geomgw.logspace import LOG_ZERO, log_binomial, log_sub, log_sum
+from geomgw import logspace
+from geomgw.logspace import LOG_ZERO, log_binomial, log_binomial_row, log_sub, log_sum
 
 
 def test_log_sub_half_an_ulp_below_is_zero():
@@ -77,3 +78,35 @@ def test_log_sum_reads_an_array_like_its_list(values):
     arr = np.array(values, dtype=np.float64)
     assert log_sum(arr).hex() == log_sum(values).hex()
     assert log_sum(arr[:0]) == log_sum([]) == LOG_ZERO
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 999_999, 1_000_000, 59_318_999])
+def test_log_binomial_row_is_log_binomial_bit_for_bit(n):
+    # both routes (gammaln below n = 1e6, betaln from it on), j = 0, j = n
+    # and the -inf past n; rows of a large n are read at their two ends
+    logspace._binomial_row.cache_clear()
+    try:
+        m = n + 3 if n < 1_000_000 else 3000
+        row = log_binomial_row(n, m)
+        assert len(row) == m and not row.flags.writeable
+        js = range(m) if m <= 3000 else [*range(3000), *range(m - 3000, m)]
+        assert [row[j].hex() for j in js] == [log_binomial(n, j).hex() for j in js]
+    finally:
+        logspace._binomial_row.cache_clear()
+
+
+def test_a_cached_row_prefix_is_a_fresh_row():
+    # a short read after a long one, from the same cached row and from a
+    # shorter one, against rows built on an empty cache
+    n = 59_318_999
+    logspace._binomial_row.cache_clear()
+    try:
+        log_binomial_row(n, 3000)
+        got = {m: log_binomial_row(n, m).copy() for m in (2100, 20, 1)}
+        for m, row in got.items():
+            logspace._binomial_row.cache_clear()
+            assert [v.hex() for v in row] == [v.hex() for v in log_binomial_row(n, m)]
+    finally:
+        logspace._binomial_row.cache_clear()
+    with pytest.raises(ValueError):
+        log_binomial_row(n, 4)[0] = 1.0
