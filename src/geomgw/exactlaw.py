@@ -115,12 +115,21 @@ def _log_alive_sum(
     One array pass over cached binomial rows; each term is
     ((log C(k,i) + log C(a-1,i-1)) + i log_gaps) + base, plus
     (k-i) log kappa for i < k, the operations of a loop over i in its
-    order. With kappa = 0 no root tree dies, so only i = k is left."""
+    order. With kappa = 0 no root tree dies, so only i = k is left. A
+    lone term (k = 1, a = 1 or kappa = 0) takes the same operations in
+    plain floats, about 2 us a call against 5 for the array pass."""
     kappa = p.kappa
     m = min(k, a)
     lo = k if kappa == 0.0 else 1
     if lo > m:
         return LOG_ZERO
+    if lo == m:
+        # as log_sum does for one term
+        t = (float(log_binomial_row(k, m + 1)[m]) + float(log_binomial_row(a - 1, m)[m - 1])
+             + m * log_gaps + base)
+        if m < k:
+            t += (k - m) * math.log(kappa)
+        return log_sum([t])
     i = np.arange(lo, m + 1.0)
     terms = (
         log_binomial_row(k, m + 1)[lo:] + log_binomial_row(a - 1, m)[lo - 1 :]

@@ -686,7 +686,8 @@ def test_chain_sums_memory_does_not_grow_with_the_widths():
 
 def test_sibling_series_refuses_a_pass_of_too_many_terms():
     # theta 1000 at h = 5 starts at i_cut = 38,182 and k_cut = 151,767,
-    # inside both cut caps: a first pass of 5.8e9 chain terms
+    # inside the k_cut cap: a first pass of 5.8e9 chain terms, minutes of
+    # work, refused before it starts
     start = time.perf_counter()
     with pytest.raises(TruncationError, match="i_cut=.*k_cut="):
         exactlaw._sibling_sum_poisson(OffspringParams(0.5, 0.2), 5, 1000.0, list(range(122)))
