@@ -124,7 +124,7 @@ def _log_alive_sum(
     if lo > m:
         return LOG_ZERO
     if lo == m:
-        # as log_sum does for one term
+        # the same operations in plain floats, as log_sum does for one term
         t = (float(log_binomial_row(k, m + 1)[m]) + float(log_binomial_row(a - 1, m)[m - 1])
              + m * log_gaps + base)
         if m < k:
@@ -434,11 +434,11 @@ def _graft_table(
     U_k = sum_i w_i sum_{K >= max(k+1, i)} C(K,i) y^K is certified.
 
     weight_log(n) returns log w_i for i = 1 .. n as an array. From the
-    law's bases c0 and lam, log C0 =
-    c0 - log gamma_h - 2 log(1-y) and log lam_hat = lam - log gamma_h -
-    log(1-y) give the certificate w_i y^i / (1-y)^(i+1) <= C0 lam_hat^(i-1)
-    / (i-1)!, so the i-tail is bounded by a Poisson tail; the K-tail of each
-    inner series is geometric once K is past i / (1-y). The truncation error
+    law's bases c0 and lam, log C0 = c0 - log gamma_h - 2 log(1-y) and
+    log lam_hat = lam - log gamma_h - log(1-y) give the certificate
+    w_i y^i / (1-y)^(i+1) <= C0 lam_hat^(i-1) / (i-1)!, so the i-tail is
+    bounded by a Poisson tail; the K-tail of each inner series is
+    geometric once K is past i / (1-y). The truncation error
     is pushed below SERIES_RTOL * min_k U_k or a TruncationError is raised.
     Each pass sums its inner series side by side in _chain_sums, and a pass
     of more than _PASS_TERMS terms i_cut * k_cut is refused before it runs.
